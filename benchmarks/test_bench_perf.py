@@ -15,7 +15,7 @@ from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
 from repro.memsys.rowbuffer import RowBufferSim
 from repro.noc.simulator import NocSimulator, SimMessage
 from repro.perf.evalcache import EvalCache, MemsysCache
-from repro.perf.parallel import run_all_experiments
+from repro.perf.parallel import run_experiments
 from repro.sim.apu_sim import ApuSimulator
 from repro.thermal.grid import ThermalGrid
 from repro.workloads.calibration import default_calibration_trace
@@ -168,6 +168,4 @@ def test_bench_eval_cache_warm(benchmark):
 
 def test_bench_run_all_experiments_serial(benchmark):
     """Every figure/table driver, serial, shared evaluation cache."""
-    benchmark.pedantic(
-        lambda: run_all_experiments(parallel=False), rounds=1, iterations=1
-    )
+    benchmark.pedantic(run_experiments, rounds=1, iterations=1)

@@ -5,9 +5,9 @@ Usage::
     python -m repro list                # show available experiments
     python -m repro fig8 table2        # run selected artifacts
     python -m repro all                 # run everything
-    python -m repro all --jobs 4        # ... across 4 worker processes
-    python -m repro all --pool-shards 4 # ... on a persistent sharded
-                                        # worker pool (cache affinity)
+    python -m repro all --pool-shards 4 # ... on a sharded pool of 4
+                                        # worker processes (cache
+                                        # affinity; -j/--jobs is an alias)
     python -m repro all --metrics-out manifest.json --trace-out trace.json
                                         # ... plus a run manifest and a
                                         # Perfetto-loadable span trace
@@ -47,6 +47,14 @@ import contextlib
 import sys
 
 from repro.experiments.registry import EXPERIMENTS
+
+
+def _shard_count(text: str) -> int:
+    """argparse type for ``--pool-shards``: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 @contextlib.contextmanager
@@ -91,24 +99,16 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
+        "--pool-shards",
         "--jobs",
         "-j",
-        type=int,
-        default=1,
-        help=(
-            "worker processes to fan the experiments across "
-            "(default 1: serial in-process)"
-        ),
-    )
-    parser.add_argument(
-        "--pool-shards",
-        type=int,
+        type=_shard_count,
         metavar="N",
         default=0,
         help=(
-            "run the experiments on a persistent sharded worker pool "
-            "with N shard-affine workers (cache-affinity scheduling) "
-            "instead of a throwaway process pool; overrides --jobs"
+            "run on a sharded pool of N shard-affine worker processes "
+            "(cache-affinity scheduling); default 0 runs in-process "
+            "('serve' and 'fleet' default to 2)"
         ),
     )
     parser.add_argument(
@@ -370,31 +370,17 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
+    from repro.perf.parallel import run_experiments
+    from repro.perf.pool import ShardedPool
+
     with _metrics_export(args.metrics_export):
-        if args.pool_shards > 0:
-            from repro.perf.parallel import run_experiments
-            from repro.perf.pool import ShardedPool
-
-            with ShardedPool(args.pool_shards) as pool:
-                results = run_experiments(
-                    names,
-                    parallel=True,
-                    pool=pool,
-                    metrics_out=args.metrics_out,
-                    trace_out=args.trace_out,
-                )
-        elif args.jobs > 1 or args.metrics_out or args.trace_out:
-            from repro.perf.parallel import run_experiments
-
+        with ShardedPool(args.pool_shards) as pool:
             results = run_experiments(
                 names,
-                parallel=args.jobs > 1,
-                max_workers=args.jobs if args.jobs > 1 else None,
+                pool=pool,
                 metrics_out=args.metrics_out,
                 trace_out=args.trace_out,
             )
-        else:
-            results = {name: EXPERIMENTS[name]() for name in names}
     # `names` may repeat or reorder; honour the user's request order.
     for name in names:
         print(results[name].render())

@@ -23,6 +23,7 @@ from repro.core.config import DesignSpace, EHPConfig
 from repro.core.node import NodeModel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.util.engines import check_engine
 from repro.util.stats import geometric_mean_across
 from repro.workloads.kernels import KernelProfile
 
@@ -65,8 +66,7 @@ def set_default_engine(engine: str) -> str:
     ``python -m repro --engine {tensor,point}`` routes through this.
     """
     global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown DSE engine {engine!r}; use one of {ENGINES}")
+    check_engine(engine, ENGINES, "DSE")
     previous = _default_engine
     _default_engine = engine
     return previous
@@ -164,8 +164,7 @@ def explore(
     if len(set(names)) != len(names):
         raise ValueError("profile names must be unique")
     engine = engine or _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown DSE engine {engine!r}; use one of {ENGINES}")
+    check_engine(engine, ENGINES, "DSE")
     space = space or DesignSpace()
     model = model or NodeModel()
     if cache is None:

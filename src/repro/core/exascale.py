@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.config import DesignSpace, EHPConfig
 from repro.core.node import NodeModel
+from repro.util.engines import check_engine
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
 
@@ -112,11 +113,7 @@ class ExascaleSystem:
         for bit; ``tests/test_core_exascale_reconfig.py`` pins the
         equivalence.
         """
-        if engine not in CU_SWEEP_ENGINES:
-            raise ValueError(
-                f"unknown cu_sweep engine {engine!r}; "
-                f"use one of {CU_SWEEP_ENGINES}"
-            )
+        check_engine(engine, CU_SWEEP_ENGINES, "cu_sweep")
         config = config or EHPConfig(
             n_cus=320, gpu_freq=1.0e9, bandwidth=1.0e12
         )

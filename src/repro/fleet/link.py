@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core.node import NodeModel
 from repro.perfmodel.machine import MachineParams
+from repro.util.engines import check_engine
 from repro.util.units import GB, NS
 from repro.workloads.kernels import KernelProfile
 
@@ -177,10 +178,7 @@ def derate(
     *degrades*: effective bandwidth is capped at the machine's
     ``ext_bandwidth`` and latency only grows from ``ext_latency``.
     """
-    if engine not in LINK_ENGINES:
-        raise ValueError(
-            f"unknown link engine {engine!r}; use one of {LINK_ENGINES}"
-        )
+    check_engine(engine, LINK_ENGINES, "link")
     machine = machine or MachineParams()
     w_arr = np.asarray(write_fraction, dtype=float)
     k_arr = np.asarray(concurrent_kernels, dtype=float)

@@ -41,7 +41,6 @@ from repro.core.node import NodeModel
 from repro.fleet.link import derate_model
 from repro.fleet.spec import FleetGroup, FleetSpec, fingerprint_group
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.metrics import snapshot as metrics_snapshot
 from repro.perf.evalcache import (
     fingerprint_model,
     fingerprint_profile,
@@ -49,6 +48,7 @@ from repro.perf.evalcache import (
 )
 from repro.perf.parallel import grid_chunks
 from repro.perf.pool import PoolTask, ShardedPool
+from repro.util.engines import check_engine
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
 
@@ -277,19 +277,16 @@ def fleet_sweep(
 
     ``engine="sharded"`` partitions every ``(group, profile)`` series
     into *n_chunks* CU chunks and runs them as independent memoized
-    tasks — on *pool* when given (shard keys lead with the group
-    fingerprint for cache affinity), else in-process in submission
-    order. *spill_dir* adds the shared on-disk warm tier.
+    tasks on *pool* (shard keys lead with the group fingerprint for
+    cache affinity; ``None`` means the in-process ``ShardedPool(0)``).
+    *spill_dir* adds the shared on-disk warm tier.
     ``engine="serial"`` delegates to :func:`fleet_sweep_serial`.
 
     With ``metrics=True`` returns ``(result, snapshot)``; the snapshot
-    merges every worker's registry delta for the run (or the parent's
-    own delta when pool-less).
+    merges every worker's registry delta for the run (the parent's own
+    delta in-process).
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown fleet engine {engine!r}; use one of {ENGINES}"
-        )
+    check_engine(engine, ENGINES, "fleet")
     model = model or NodeModel()
     cu_list = tuple(int(n) for n in cu_counts)
     if not cu_list:
@@ -299,8 +296,10 @@ def fleet_sweep(
         result = fleet_sweep_serial(spec, cu_list, model)
         return (result, MetricsSnapshot.empty()) if metrics else result
 
+    if pool is None:
+        pool = ShardedPool(0)
     if n_chunks is None:
-        n_chunks = pool.n_shards * 2 if pool is not None else 4
+        n_chunks = 2 * pool.n_shards or 4
     chunks = grid_chunks(len(cu_list), n_chunks)
 
     tasks: list[PoolTask] = []
@@ -347,12 +346,7 @@ def fleet_sweep(
                 )
                 owners.append((group, profile.name, lo, hi))
 
-    if pool is not None:
-        raw, snap = pool.run(tasks, metrics=True)
-    else:
-        before = metrics_snapshot()
-        raw = [task.fn(*task.args) for task in tasks]
-        snap = metrics_snapshot().diff(before)
+    raw, snap = pool.run(tasks, metrics=True)
 
     per: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     parts: dict[tuple[str, str], list[tuple[int, np.ndarray, np.ndarray]]]

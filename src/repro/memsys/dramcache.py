@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.util.engines import check_engine
 
 __all__ = ["DramCacheStats", "DramCache", "ENGINES"]
 
@@ -102,19 +103,11 @@ class DramCache:
         self.page_bytes = page_bytes
         self.associativity = associativity
         self.n_sets = n_frames // associativity
-        self.engine = self._check_engine(engine)
+        self.engine = check_engine(engine, ENGINES)
         # set index -> insertion-ordered dict of tag -> dirty flag; the
         # first key is always the LRU way (pop + reinsert on every hit).
         self._sets: dict[int, dict[int, bool]] = {}
         self.stats = DramCacheStats()
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     def _locate(self, address: int) -> tuple[int, int]:
         page = address // self.page_bytes
@@ -214,7 +207,9 @@ class DramCache:
     def run_trace(self, addresses, writes=None,
                   engine: str | None = None) -> DramCacheStats:
         """Stream a whole trace; returns the cumulative statistics."""
-        engine = self.engine if engine is None else self._check_engine(engine)
+        engine = (
+            self.engine if engine is None else check_engine(engine, ENGINES)
+        )
         addresses = np.asarray(addresses, dtype=np.int64)
         with obs_trace.span(
             "dramcache.run_trace", engine=engine,

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.util.engines import check_engine
 
 __all__ = [
     "MemoryLevel",
@@ -74,14 +75,6 @@ class PagePlacement:
 
     level_of_page: Mapping[int, MemoryLevel]
     migrated_pages: int
-
-    def in_package_pages(self) -> int:
-        """Pages resident in in-package DRAM."""
-        return sum(
-            1
-            for lvl in self.level_of_page.values()
-            if lvl is MemoryLevel.IN_PACKAGE
-        )
 
 
 class PlacementPolicy(Protocol):
@@ -228,21 +221,13 @@ class MemoryManager:
         self.capacity_pages = int(capacity_bytes // page_size)
         self.page_size = page_size
         self.policy = policy
-        self.engine = self._check_engine(engine)
+        self.engine = check_engine(engine, ENGINES)
         self.placement: dict[int, MemoryLevel] = {}
         self.total_migrated = 0
         # Resident-page mirror for the array engine; None means stale
         # (the scalar path replaced `placement` wholesale) and it is
         # rebuilt lazily on the next array epoch.
         self._resident: set[int] | None = set()
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     def epoch(self, addresses: np.ndarray) -> float:
         """Process one epoch of accesses; returns the fraction of them
@@ -410,7 +395,9 @@ class MemoryManager:
     ) -> list[float]:
         """Process several epoch arrays through one shared placement
         state; returns per-epoch in-package fractions."""
-        engine = self.engine if engine is None else self._check_engine(engine)
+        engine = (
+            self.engine if engine is None else check_engine(engine, ENGINES)
+        )
         total = sum(int(np.asarray(e).size) for e in epochs)
         with obs_trace.span(
             "manager.run_batch", engine=engine, epochs=len(epochs),

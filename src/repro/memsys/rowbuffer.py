@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.util.engines import check_engine
 
 __all__ = ["RowBufferSim", "RowBufferStats", "ENGINES"]
 
@@ -90,18 +91,10 @@ class RowBufferSim:
         self.n_banks = n_banks
         self.row_bytes = row_bytes
         self.interleave = channel_interleave_bytes
-        self.engine = self._check_engine(engine)
+        self.engine = check_engine(engine, ENGINES)
         self._open_row = np.full(n_banks, -1, dtype=np.int64)
         self._last_bank = -1
         self.stats = RowBufferStats()
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     def _locate(self, address: int) -> tuple[int, int]:
         block = address // self.interleave
@@ -131,7 +124,9 @@ class RowBufferSim:
         Continues from the tracker's current open-row state, exactly as
         repeated :meth:`access` calls would.
         """
-        engine = self.engine if engine is None else self._check_engine(engine)
+        engine = (
+            self.engine if engine is None else check_engine(engine, ENGINES)
+        )
         addresses = np.asarray(addresses, dtype=np.int64)
         with obs_trace.span(
             "rowbuffer.run", engine=engine, accesses=int(addresses.size)

@@ -5,20 +5,21 @@
   :meth:`repro.sim.apu_sim.ApuSimulator.run`, so every (profile, design
   grid, model) combination and every (sim config, trace, engine)
   simulation is computed once no matter how many drivers ask for it.
-* :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
-  processes with cache-affinity scheduling: workers are spawned once
-  and reused across sweeps, and stable shard routing keeps each
-  worker's warm cache entries owned by that worker.
-* :mod:`repro.perf.parallel` — a process-pool experiment runner and a
-  chunked parallel design-space exploration, both of which accept a
-  ``pool=`` :class:`ShardedPool` to reuse.
+* :mod:`repro.perf.pool` — :class:`ShardedPool`, the one executor
+  every fan-out runs on: worker processes with cache-affinity
+  scheduling, spawned once and reused across sweeps, with stable shard
+  routing keeping each worker's warm cache entries owned by that
+  worker; ``ShardedPool(0)`` runs the same tasks in-process.
+* :mod:`repro.perf.parallel` — the experiment runner and the
+  tensor-slab design-space exploration, both running on a ``pool=``
+  :class:`ShardedPool` (in-process when none is given).
 
 ``repro.perf.parallel`` is intentionally *not* imported here: it pulls
 in the experiment drivers (and through them :mod:`repro.core.dse`,
 which itself uses the cache), so importing it from the package root
 would create an import cycle. Import it explicitly::
 
-    from repro.perf.parallel import run_all_experiments
+    from repro.perf.parallel import run_experiments
 
 :mod:`repro.perf.pool` depends only on the observability layer, so its
 names are re-exported here.

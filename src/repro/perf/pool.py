@@ -1,18 +1,26 @@
 """Persistent sharded worker pool with cache-affinity scheduling.
 
-:func:`repro.perf.parallel.parallel_explore` historically created a
-fresh ``ProcessPoolExecutor`` per call, so every DSE sweep paid process
-spawn plus import cost and every per-worker
-:class:`~repro.perf.evalcache.EvalCache` started cold. A
-:class:`ShardedPool` is the long-lived alternative: its workers are
-spawned once and reused across calls, and *deterministic shard routing*
-pins each task to a fixed worker — a stable SHA-1 hash of the task's
-``shard_key`` (for DSE tensor slabs: ``(profile-block fingerprint,
-CU-slab index)``; for point-engine chunks: ``(profile fingerprint,
-grid-chunk index)``) picks the shard, so a given worker always owns the
-same slice of the profile×grid space and its warm cache entries are
-never recomputed on another worker. The same locality lever work-stealing
-runtimes and NUMA-aware schedulers pull to keep hot state resident.
+:class:`ShardedPool` is the one executor every fan-out in the package
+runs on (:func:`repro.perf.parallel.run_experiments`,
+:func:`~repro.perf.parallel.parallel_explore`,
+:func:`repro.fleet.sweep.fleet_sweep`, the serving layer). Its workers
+are spawned once and reused across calls, and *deterministic shard
+routing* pins each task to a fixed worker — a stable SHA-1 hash of the
+task's ``shard_key`` (for DSE tensor slabs: ``(profile-block
+fingerprint, CU-slab index)``) picks the shard, so a given worker always
+owns the same slice of the profile×grid space and its warm
+:class:`~repro.perf.evalcache.EvalCache` entries are never recomputed on
+another worker. The same locality lever work-stealing runtimes and
+NUMA-aware schedulers pull to keep hot state resident.
+
+``ShardedPool(0)`` is the in-process mode: it starts no processes and
+:meth:`ShardedPool.run` executes the tasks in the calling process, in
+submission order, against the parent's own caches and metrics registry.
+It keeps the process pool's contract (ordered results, one ``cat="pool"``
+span per task named by its label, the first failure re-raised as a
+``RuntimeError``, ``metrics=True`` returning the registry delta over the
+run, ``stats().tasks``); affinity, stealing, payload dedup and restarts
+do not apply.
 
 Scheduling policies (``policy=``):
 
@@ -247,7 +255,7 @@ class ShardedPool:
     ----------
     n_shards:
         Worker count; shards map 1:1 onto workers. Defaults to
-        ``min(cpu_count, 8)``.
+        ``min(cpu_count, 8)``; ``0`` runs every task in-process.
     policy:
         ``"affinity"`` (stable-hash routing, steal when idle) or
         ``"roundrobin"``.
@@ -278,8 +286,8 @@ class ShardedPool:
             )
         if n_shards is None:
             n_shards = max(1, min(os.cpu_count() or 1, 8))
-        if n_shards < 1:
-            raise ValueError("n_shards must be positive")
+        if n_shards < 0:
+            raise ValueError("n_shards must be non-negative")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive or None")
         if result_cache_size < 0:
@@ -481,9 +489,37 @@ class ShardedPool:
             return ([], MetricsSnapshot.empty()) if metrics else []
         self._running = True
         try:
+            if self.n_shards == 0:
+                return self._run_inline(tasks, metrics)
             return self._run(tasks, metrics, batch_size or self.batch_size)
         finally:
             self._running = False
+
+    def _run_inline(self, tasks: list[PoolTask], metrics: bool):
+        """The in-process mode: run *tasks* here, in submission order.
+
+        Work books straight into the parent's registry, so the metrics
+        delta is taken there (after the pool's own ``pool.tasks`` count,
+        as a worker's delta would be) and no shard totals accumulate.
+        """
+        self._tasks += len(tasks)
+        obs_metrics.inc("pool.tasks", len(tasks))
+        registry = obs_metrics.default_registry()
+        before = registry.snapshot() if metrics else None
+        results = []
+        with obs_trace.span("pool.run", cat="pool", tasks=len(tasks)):
+            for index, task in enumerate(tasks):
+                label = task.label or task.fn.__name__
+                try:
+                    with obs_trace.span(label, cat="pool"):
+                        results.append(task.fn(*task.args, **task.kwargs))
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"pool task {index} ({label}) failed"
+                    ) from exc
+        if metrics:
+            return results, registry.snapshot().diff(before)
+        return results
 
     def _run(
         self, tasks: list[PoolTask], metrics: bool, batch_size: int | None

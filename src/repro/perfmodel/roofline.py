@@ -116,11 +116,6 @@ class KernelMetrics:
         """Average external-memory bandwidth demand, B/s."""
         return self.ext_traffic / self.time
 
-    @property
-    def llc_rate(self) -> np.ndarray:
-        """Average LLC-level request bandwidth, B/s."""
-        return self.llc_traffic / self.time
-
 
 def _effective_hit_rate(
     profile: KernelProfile,
@@ -406,7 +401,7 @@ def evaluate_kernel_grid(
       and the axes are validated positive and a zero issue efficiency
       gives ``t_compute = +inf``) and products/sums *reassociated* to
       collapse full-tensor passes onto factored subspaces — e.g. the
-      Little's-law chain becomes ``coef * (1 + kappa * rho**4)`` with
+      Little's-law chain becomes ``coef * (1 + kappa * rho**e)`` with
       ``coef`` precomputed on ``(P, C, 1, 1)``. Reassociation changes
       results by a few ULPs (well inside the equivalence tests' 1e-12
       rtol) and cannot flip DSE argmax selections: the catalog's
@@ -481,14 +476,19 @@ def evaluate_kernel_grid(
     t_first0 = np.maximum(tc_full, tbw_full, out=work)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.divide(tbw_full, t_first0, out=t_first0)
-    np.multiply(rho, rho, out=rho)  # rho**2
-    np.multiply(rho, rho, out=rho)  # rho**4 == rho**contention_exponent
+    if machine.contention_exponent == 4.0:
+        # The default exponent: two in-place squarings, cheaper than a
+        # float pow and bit-identical to every recorded result.
+        np.multiply(rho, rho, out=rho)  # rho**2
+        np.multiply(rho, rho, out=rho)  # rho**4
+    else:
+        np.power(rho, machine.contention_exponent, out=rho)
     np.multiply(rho, machine.contention_kappa, out=rho)
-    np.add(rho, 1.0, out=rho)  # 1 + kappa * rho**4
+    np.add(rho, 1.0, out=rho)  # 1 + kappa * rho**exponent
 
     # --- latency bound [Little's law; external miss term exactly 0] ---
     # t_latency = sensitivity * misses * latency / outstanding with
-    # latency = mem_latency * (1 + kappa rho^4) reassociates into one
+    # latency = mem_latency * (1 + kappa rho^e) reassociates into one
     # factored coefficient times the full contention tensor.
     misses_in = dram_traffic / machine.cacheline_bytes  # (P, C, 1, 1)
     outstanding = cu * col("mlp_per_cu")  # (P, C, 1, 1)

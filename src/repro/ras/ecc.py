@@ -97,14 +97,6 @@ def silent_error_rate(
     return transient_fit * (1.0 - scheme.coverage_transient)
 
 
-def detectable_burst_length(symbol_bits: int) -> int:
-    """Longest error burst a symbol-based (chipkill-style) code confines
-    to one symbol — the device-failure coverage argument."""
-    if symbol_bits <= 0:
-        raise ValueError("symbol_bits must be positive")
-    return symbol_bits
-
-
 def interleaving_factor_for_rate(
     raw_ber: float, target_word_error: float, word_bits: int = 64
 ) -> int:

@@ -56,6 +56,7 @@ from repro.obs import trace as obs_trace
 from repro.sim.cache_sim import CacheLevel, CacheSim
 from repro.sim.engine import Simulator, TupleEventHeap
 from repro.sim.gpu_core import ComputeUnit, Wavefront, mean_utilization
+from repro.util.engines import check_engine
 from repro.util.units import NS
 from repro.workloads.traces import MemoryTrace
 
@@ -129,15 +130,7 @@ class ApuSimulator:
     def __init__(self, config: ApuSimConfig | None = None,
                  engine: str = "array"):
         self.config = config or ApuSimConfig()
-        self.engine = self._check_engine(engine)
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
+        self.engine = check_engine(engine, ENGINES)
 
     def _build_cache(self) -> CacheSim:
         cfg = self.config
@@ -150,7 +143,9 @@ class ApuSimulator:
 
     def run(self, trace: MemoryTrace, engine: str | None = None) -> ApuSimResult:
         """Execute *trace* split round-robin across all wavefronts."""
-        engine = self.engine if engine is None else self._check_engine(engine)
+        engine = (
+            self.engine if engine is None else check_engine(engine, ENGINES)
+        )
         if len(trace) == 0:
             raise ValueError("empty trace")
         with obs_trace.span(
@@ -178,7 +173,9 @@ class ApuSimulator:
         computed once and shared, which is what calibration sweeps over
         many traces of one kernel profile want.
         """
-        engine = self.engine if engine is None else self._check_engine(engine)
+        engine = (
+            self.engine if engine is None else check_engine(engine, ENGINES)
+        )
         traces = list(traces)
         for trace in traces:
             if len(trace) == 0:

@@ -37,6 +37,7 @@ from scipy.sparse.linalg import splu, spsolve
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.stack import LayerStack
+from repro.util.engines import check_engine
 
 __all__ = [
     "TemperatureField",
@@ -499,10 +500,7 @@ class ThermalGrid:
         self, temps: np.ndarray, power_maps: np.ndarray, dt: float,
         engine: str, ndim: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if engine not in STEP_ENGINES:
-            raise ValueError(
-                f"unknown step engine {engine!r}; choose from {STEP_ENGINES}"
-            )
+        check_engine(engine, STEP_ENGINES, "step")
         if not dt > 0.0:
             raise ValueError("dt must be positive")
         power_maps = self._validate_maps(power_maps)

@@ -34,6 +34,7 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.grid import STEP_ENGINES, TemperatureField, ThermalGrid
+from repro.util.engines import check_engine
 
 __all__ = [
     "PowerPhase",
@@ -113,10 +114,7 @@ class TransientSolver:
     ):
         if not dt > 0.0:
             raise ValueError("dt must be positive")
-        if engine not in STEP_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {STEP_ENGINES}"
-            )
+        check_engine(engine, STEP_ENGINES, "step")
         self.grid = grid
         self.dt = float(dt)
         self.engine = engine

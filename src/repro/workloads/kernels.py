@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -295,24 +294,4 @@ class ProfileBatch:
         return ProfileBatch(
             names=names,
             **{f: getattr(self, f)[index] for f in _BATCH_FIELDS},
-        )
-
-    def expand(self, hw_axes: int) -> SimpleNamespace:
-        """A duck-typed profile whose columns lead *hw_axes* hardware axes.
-
-        Each ``(P, 1)`` column is reshaped to ``(P, 1, ..., 1)`` with
-        *hw_axes* trailing singletons, so it broadcasts against any
-        hardware-axis layout of that many dimensions. The result quacks
-        like a :class:`KernelProfile` wherever only the numeric fields
-        are read (:func:`repro.perfmodel.roofline.evaluate_kernel`,
-        :func:`repro.power.breakdown.node_power`).
-        """
-        if hw_axes < 1:
-            raise ValueError("hw_axes must be >= 1")
-        shape = (len(self),) + (1,) * int(hw_axes)
-        return SimpleNamespace(
-            names=self.names,
-            **{
-                f: getattr(self, f).reshape(shape) for f in _BATCH_FIELDS
-            },
         )

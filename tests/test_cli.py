@@ -87,3 +87,30 @@ class TestCli:
         assert "experiments.pool" in events
         assert "experiment.fig7" in events
         assert events["experiment.fig7"]["pid"] != os.getpid()
+
+    def test_negative_shard_count_is_a_usage_error(self, capsys):
+        for argv in (
+            ["table1", "--jobs", "-3"],
+            ["table1", "-j", "-1"],
+            ["serve", "--pool-shards", "-2"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "must be >= 0" in capsys.readouterr().err
+
+    def test_jobs_is_an_alias_of_pool_shards(self, capsys, tmp_path):
+        import json
+
+        outputs = []
+        runs = ([], ["--jobs", "2"], ["--pool-shards", "2"])
+        for i, flags in enumerate(runs):
+            manifest = tmp_path / f"manifest{i}.json"
+            assert main([
+                "fig7", "table1", *flags, "--metrics-out", str(manifest),
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+            # Per-experiment wall times on the in-process and pooled path.
+            wall = json.loads(manifest.read_text())["wall_times_s"]
+            assert {"fig7", "table1", "total"} <= set(wall)
+        assert outputs[0] == outputs[1] == outputs[2]

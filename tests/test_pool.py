@@ -4,8 +4,10 @@ Covers the scheduling contract (stable shard routing, round-robin
 fallback, stealing only from a backlog), fault tolerance (task errors,
 worker death and respawn), the observability bridges (merged worker
 metrics deltas, republished memory gauges, worker-side spans), payload
-dedup, concurrent spill-directory use, and bit-identity of the pooled
-DSE/experiment fan-outs against their serial counterparts.
+dedup, concurrent spill-directory use, the in-process ``ShardedPool(0)``
+mode's share of the ``run()`` contract, and bit-identity of the
+DSE/experiment fan-outs on both executors against their serial
+counterparts.
 """
 
 import os
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.dse import explore
+from repro.experiments.registry import EXPERIMENTS
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.perf.evalcache import MemsysCache
@@ -36,6 +39,11 @@ def _whoami(_tag=None):
 
 def _boom():
     raise ValueError("kaput")
+
+
+def _bump(n):
+    obs_metrics.inc("test.inline.bumps", n)
+    return n
 
 
 def _sleep_for(seconds):
@@ -84,6 +92,15 @@ def pool():
     p.shutdown()
 
 
+@pytest.fixture(params=["in-process", "2-shard"])
+def executor(request):
+    """Both executors a fan-out can run on: ``ShardedPool(0)`` and the
+    shared 2-shard process pool."""
+    if request.param == "in-process":
+        return ShardedPool(0)
+    return request.getfixturevalue("pool")
+
+
 class TestStableShard:
     def test_deterministic_and_in_range(self):
         for key in [("CoMD", 0), ("CoMD", 1), "x", 42, (1, 2, 3)]:
@@ -99,12 +116,31 @@ class TestStableShard:
 class TestShardedPoolBasics:
     def test_results_in_submission_order(self, pool):
         tasks = [PoolTask(fn=_square, args=(i,)) for i in range(17)]
-        assert pool.run(tasks) == [i * i for i in range(17)]
+        for p in (pool, ShardedPool(0)):
+            assert p.run(tasks) == [i * i for i in range(17)]
 
     def test_empty_task_list(self, pool):
-        assert pool.run([]) == []
-        results, snap = pool.run([], metrics=True)
-        assert results == [] and snap.counters == {}
+        for p in (pool, ShardedPool(0)):
+            assert p.run([]) == []
+            results, snap = p.run([], metrics=True)
+            assert results == [] and snap.counters == {}
+
+    def test_zero_shards_run_in_process(self):
+        p = ShardedPool(0)
+        assert p._workers == []
+        assert p.run([PoolTask(fn=_whoami)] * 3) == [os.getpid()] * 3
+        assert p.merged_snapshot().counters == {}
+        with pytest.raises(ValueError):
+            ShardedPool(-1)
+
+    def test_in_process_metrics_are_the_parent_registry_delta(self):
+        results, snap = ShardedPool(0).run(
+            [PoolTask(fn=_bump, args=(n,)) for n in (1, 2, 3)], metrics=True
+        )
+        assert results == [1, 2, 3]
+        assert snap.counter("test.inline.bumps") == 6
+        # As in a worker's delta, the pool's own bookkeeping is left out.
+        assert snap.counter("pool.tasks") == 0
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -119,9 +155,10 @@ class TestShardedPoolBasics:
         p.shutdown()  # idempotent
 
     def test_task_counter_advances(self, pool):
-        before = pool.stats().tasks
-        pool.run([PoolTask(fn=_square, args=(i,)) for i in range(5)])
-        assert pool.stats().tasks == before + 5
+        for p in (pool, ShardedPool(0)):
+            before = p.stats().tasks
+            p.run([PoolTask(fn=_square, args=(i,)) for i in range(5)])
+            assert p.stats().tasks == before + 5
 
 
 class TestScheduling:
@@ -172,14 +209,22 @@ class TestScheduling:
 
 class TestFaultTolerance:
     def test_error_propagates_with_label(self, pool):
-        with pytest.raises(RuntimeError, match="exploder") as excinfo:
-            pool.run([PoolTask(fn=_boom, label="exploder")])
-        assert "kaput" in str(excinfo.value.__cause__)
+        # The first failure in submission order is the one reported.
+        tasks = [
+            PoolTask(fn=_square, args=(2,)),
+            PoolTask(fn=_boom, label="exploder"),
+            PoolTask(fn=_boom, label="later"),
+        ]
+        for p in (pool, ShardedPool(0)):
+            with pytest.raises(RuntimeError, match="exploder") as excinfo:
+                p.run(tasks)
+            assert "kaput" in str(excinfo.value.__cause__)
 
     def test_pool_usable_after_error(self, pool):
-        with pytest.raises(RuntimeError):
-            pool.run([PoolTask(fn=_boom)])
-        assert pool.run([PoolTask(fn=_square, args=(6,))]) == [36]
+        for p in (pool, ShardedPool(0)):
+            with pytest.raises(RuntimeError):
+                p.run([PoolTask(fn=_boom)])
+            assert p.run([PoolTask(fn=_square, args=(6,))]) == [36]
 
     def test_worker_death_requeues_and_restarts(self, tmp_path):
         with _new_pool(2) as p:
@@ -300,38 +345,41 @@ class TestObservabilityBridges:
             assert worker_pids and os.getpid() not in worker_pids
 
     def test_task_spans_form_connected_tree_across_workers(self):
-        """One pool.run renders as one connected tree: every worker-side
-        task span is a child of the parent-side pool.run span, with
-        exact deterministic ids."""
-        tracer = obs_trace.Tracer(
-            context=obs_trace.SpanContext.root("t1")
-        )
-        with _new_pool(2) as p:
-            with obs_trace.trace(tracer=tracer):
-                p.run(
-                    [
-                        PoolTask(fn=_square, args=(i,), label=f"task.{i}")
-                        for i in range(4)
-                    ]
+        """One pool.run renders as one connected tree: every task span,
+        worker-side or in-process, is a ``cat="pool"`` child of the
+        pool.run span, named by its label, with exact deterministic
+        ids."""
+        with _new_pool(2) as workers:
+            for p in (workers, ShardedPool(0)):
+                tracer = obs_trace.Tracer(
+                    context=obs_trace.SpanContext.root("t1")
                 )
-        (run_event,) = [
-            e for e in tracer.events if e["name"] == "pool.run"
-        ]
-        assert run_event["args"]["trace_id"] == "t1"
-        assert run_event["args"]["span_id"] == "0.1"
-        assert run_event["args"]["parent_id"] == "0"
-        assert run_event["args"]["tasks"] == 4
-        task_events = [
-            e for e in tracer.events if e["name"].startswith("task.")
-        ]
-        assert len(task_events) == 4
-        for event in task_events:
-            assert event["args"]["trace_id"] == "t1"
-            assert event["args"]["parent_id"] == "0.1"
-        # Task ids are the four children of pool.run, one each.
-        assert {e["args"]["span_id"] for e in task_events} == {
-            "0.1.1", "0.1.2", "0.1.3", "0.1.4",
-        }
+                with obs_trace.trace(tracer=tracer):
+                    p.run(
+                        [
+                            PoolTask(fn=_square, args=(i,), label=f"task.{i}")
+                            for i in range(4)
+                        ]
+                    )
+                (run_event,) = [
+                    e for e in tracer.events if e["name"] == "pool.run"
+                ]
+                assert run_event["args"]["trace_id"] == "t1"
+                assert run_event["args"]["span_id"] == "0.1"
+                assert run_event["args"]["parent_id"] == "0"
+                assert run_event["args"]["tasks"] == 4
+                task_events = [
+                    e for e in tracer.events if e["name"].startswith("task.")
+                ]
+                assert len(task_events) == 4
+                for event in task_events:
+                    assert event["cat"] == "pool"
+                    assert event["args"]["trace_id"] == "t1"
+                    assert event["args"]["parent_id"] == "0.1"
+                # Task ids are the four children of pool.run, one each.
+                assert {e["args"]["span_id"] for e in task_events} == {
+                    "0.1.1", "0.1.2", "0.1.3", "0.1.4",
+                }
 
 
 class TestPayloadDedup:
@@ -406,12 +454,12 @@ class TestConcurrentSpill:
 
 
 class TestPooledFanouts:
-    SUBSET = ["table1", "fig7"]
+    SUBSET = ["table1", "fig7", "dse"]
 
-    def test_parallel_explore_pool_identical_to_serial(self, pool):
+    def test_parallel_explore_pool_identical_to_serial(self, executor):
         profiles = [get_application("CoMD"), get_application("MaxFlops")]
         serial = explore(profiles, cache=False)
-        pooled = parallel_explore(profiles, n_chunks=5, pool=pool)
+        pooled = parallel_explore(profiles, n_chunks=5, pool=executor)
         assert pooled.best_mean_index == serial.best_mean_index
         assert dict(pooled.per_app_best_index) == dict(
             serial.per_app_best_index
@@ -446,9 +494,10 @@ class TestPooledFanouts:
                 pooled.performance[name], serial.performance[name]
             )
 
-    def test_run_experiments_pool_matches_serial(self, pool):
-        serial = run_experiments(self.SUBSET, parallel=False)
-        pooled = run_experiments(self.SUBSET, parallel=True, pool=pool)
-        assert list(pooled) == list(serial)
+    def test_run_experiments_pool_matches_serial(self, executor):
+        serial = {name: EXPERIMENTS[name]() for name in self.SUBSET}
+        pooled = run_experiments(self.SUBSET, pool=executor)
+        assert list(pooled) == self.SUBSET
         for name in serial:
-            assert pooled[name].render() == serial[name].render()
+            assert pooled[name].rendered == serial[name].rendered
+            assert pooled[name].data == serial[name].data

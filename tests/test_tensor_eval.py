@@ -28,12 +28,18 @@ from repro.perf.evalcache import (
     fingerprint_batch,
 )
 from repro.perf.parallel import parallel_explore
+from repro.perfmodel.machine import MachineParams
 from repro.workloads.catalog import application_names, get_application
 from repro.workloads.kernels import (
     KernelCategory,
     KernelProfile,
     ProfileBatch,
 )
+
+
+CONTENTION_EXPONENTS = (0.0, 2.0, 3.0, 4.0, 4.5)
+"""Contention exponents the tensor/point equivalence is checked at: the
+default 4.0 (two squarings on the tensor path) and every other branch."""
 
 
 def _profile(name="h", **overrides) -> KernelProfile:
@@ -160,7 +166,8 @@ class TestGridEquivalence:
         n_profiles = data.draw(st.integers(min_value=1, max_value=4))
         profiles = [_draw_profile(data.draw, i) for i in range(n_profiles)]
         space = _draw_space(data.draw)
-        model = NodeModel()
+        exponent = data.draw(st.sampled_from(CONTENTION_EXPONENTS))
+        model = NodeModel(MachineParams(contention_exponent=exponent))
 
         grid = model.evaluate_grid(profiles, space)
         cus, freqs, bws = space.grid_arrays()
@@ -187,22 +194,32 @@ class TestGridEquivalence:
 
     def test_catalog_argmax_identity(self):
         profiles = [get_application(n) for n in application_names()]
-        tensor = explore(profiles, cache=False, engine="tensor")
-        point = explore(profiles, cache=False, engine="point")
-        assert tensor.best_mean_index == point.best_mean_index
-        assert dict(tensor.per_app_best_index) == dict(
-            point.per_app_best_index
-        )
-        for name in point.performance:
-            assert np.array_equal(tensor.feasible[name], point.feasible[name])
-            np.testing.assert_allclose(
-                tensor.performance[name],
-                point.performance[name],
-                rtol=1e-12,
+        for exponent in CONTENTION_EXPONENTS:
+            model = NodeModel(MachineParams(contention_exponent=exponent))
+            tensor = explore(
+                profiles, model=model, cache=False, engine="tensor"
             )
-            np.testing.assert_allclose(
-                tensor.node_power[name], point.node_power[name], rtol=1e-12
-            )
+            point = explore(profiles, model=model, cache=False, engine="point")
+            assert tensor.best_mean_index == point.best_mean_index, exponent
+            assert dict(tensor.per_app_best_index) == dict(
+                point.per_app_best_index
+            ), exponent
+            for name in point.performance:
+                assert np.array_equal(
+                    tensor.feasible[name], point.feasible[name]
+                ), exponent
+                np.testing.assert_allclose(
+                    tensor.performance[name],
+                    point.performance[name],
+                    rtol=1e-12,
+                    err_msg=f"contention_exponent={exponent}",
+                )
+                np.testing.assert_allclose(
+                    tensor.node_power[name],
+                    point.node_power[name],
+                    rtol=1e-12,
+                    err_msg=f"contention_exponent={exponent}",
+                )
 
     def test_accepts_prebuilt_batch(self):
         apps = [get_application(n) for n in application_names()[:3]]
@@ -308,9 +325,7 @@ class TestParallelSlabs:
         profiles = [get_application(n) for n in application_names()[:4]]
         space = self._space()
         serial = explore(profiles, space, cache=False, engine="point")
-        result = parallel_explore(
-            profiles, space, max_workers=1, n_chunks=3, engine="tensor"
-        )
+        result = parallel_explore(profiles, space, n_chunks=3)
         assert result.best_mean_index == serial.best_mean_index
         assert dict(result.per_app_best_index) == dict(
             serial.per_app_best_index
@@ -329,32 +344,16 @@ class TestParallelSlabs:
         profiles = [get_application(n) for n in application_names()]
         space = self._space()
         grid = NodeModel().evaluate_grid(profiles, space)
-        result = parallel_explore(
-            profiles, space, max_workers=1, n_chunks=4, engine="tensor"
-        )
+        result = parallel_explore(profiles, space, n_chunks=4)
         for i, name in enumerate(grid.names):
             assert np.array_equal(result.performance[name], grid.performance[i])
             assert np.array_equal(result.node_power[name], grid.power[i])
-
-    def test_point_engine_rejects_batch_input(self):
-        batch = ProfileBatch.from_profiles(
-            [get_application("CoMD"), get_application("SNAP")]
-        )
-        with pytest.raises(TypeError):
-            parallel_explore(
-                batch, self._space(), max_workers=1, engine="point"
-            )
 
     def test_metrics_snapshot_counts_slab_lookups(self):
         profiles = [get_application(n) for n in application_names()[:4]]
         space = self._space()
         result, snap = parallel_explore(
-            profiles,
-            space,
-            max_workers=1,
-            n_chunks=2,
-            metrics=True,
-            engine="tensor",
+            profiles, space, n_chunks=2, metrics=True
         )
         lookups = snap.counter("cache.eval.hits") + snap.counter(
             "cache.eval.misses"
