@@ -408,12 +408,12 @@ def check_memsys(quick: bool) -> list[str]:
     epochs = np.array_split(addrs, 4)
 
     def replay(engine: str):
-        rb = RowBufferSim(engine=engine)
-        rb.run(addrs)
+        rb = RowBufferSim()
+        rb.run(addrs, engine=engine)
         dram = []
         for capacity in capacities:
-            cache = DramCache(capacity, 4096, 8, engine=engine)
-            cache.run_trace(addrs, writes)
+            cache = DramCache(capacity, 4096, 8)
+            cache.run_trace(addrs, writes, engine=engine)
             dram.append(astuple(cache.stats))
         # The "event" side drives the seed's quadratic re-sort-per-
         # eviction policy: the shipped scalar oracle now uses an
@@ -424,8 +424,8 @@ def check_memsys(quick: bool) -> list[str]:
             if engine == "event"
             else HotnessMigrationPolicy()
         )
-        manager = MemoryManager(manager_capacity, policy, 4096, engine=engine)
-        fractions = manager.run_batch(epochs)
+        manager = MemoryManager(manager_capacity, policy, 4096)
+        fractions = manager.run_batch(epochs, engine=engine)
         return astuple(rb.stats), dram, fractions
 
     array_out = replay("array")

@@ -74,8 +74,11 @@ def test_bench_apu_sim_array_50k(benchmark):
 def test_bench_apu_sim_event_50k(benchmark):
     """Event-engine oracle on the same trace (tracks the ratio)."""
     trace = default_calibration_trace()
-    sim = ApuSimulator(engine="event")
-    benchmark.pedantic(sim.run, args=(trace,), rounds=2, iterations=1)
+    sim = ApuSimulator()
+    benchmark.pedantic(
+        sim.run, args=(trace,), kwargs={"engine": "event"},
+        rounds=2, iterations=1,
+    )
 
 
 def test_bench_apu_sim_batch(benchmark):
@@ -104,13 +107,11 @@ def _memsys_replay_params(n_accesses):
 
 def _memsys_replay(trace, capacities, manager_capacity, engine):
     addrs, writes = trace.addresses, trace.is_write
-    RowBufferSim(engine=engine).run(addrs)
+    RowBufferSim().run(addrs, engine=engine)
     for capacity in capacities:
-        DramCache(capacity, 4096, 8, engine=engine).run_trace(addrs, writes)
-    manager = MemoryManager(
-        manager_capacity, HotnessMigrationPolicy(), 4096, engine=engine
-    )
-    manager.run_batch(np.array_split(addrs, 4))
+        DramCache(capacity, 4096, 8).run_trace(addrs, writes, engine=engine)
+    manager = MemoryManager(manager_capacity, HotnessMigrationPolicy(), 4096)
+    manager.run_batch(np.array_split(addrs, 4), engine=engine)
 
 
 def test_bench_memsys_array_50k(benchmark):

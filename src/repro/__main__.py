@@ -11,9 +11,6 @@ Usage::
     python -m repro all --metrics-out manifest.json --trace-out trace.json
                                         # ... plus a run manifest and a
                                         # Perfetto-loadable span trace
-    python -m repro table2 --engine point
-                                        # per-profile oracle DSE engine
-                                        # (default: fused tensor passes)
     python -m repro serve               # serve benchmark: async batched
                                         # front-end vs naive per-request
                                         # pool round-trips
@@ -109,17 +106,6 @@ def main(argv: list[str] | None = None) -> int:
             "run on a sharded pool of N shard-affine worker processes "
             "(cache-affinity scheduling); default 0 runs in-process "
             "('serve' and 'fleet' default to 2)"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("tensor", "point"),
-        default="tensor",
-        help=(
-            "design-space exploration engine: 'tensor' (default) runs "
-            "one fused broadcast pass over the whole (profile x CU x "
-            "freq x BW) grid, 'point' the per-profile oracle loop; the "
-            "choice is recorded in the run manifest"
         ),
     )
     parser.add_argument(
@@ -349,14 +335,11 @@ def main(argv: list[str] | None = None) -> int:
             "no artifacts requested (try 'list', 'serve', or 'fleet')"
         )
 
-    from repro.core import dse
     from repro.util import alloctune
 
-    dse.set_default_engine(args.engine)
-    if args.engine == "tensor":
-        # Keep freed tensor scratch pages in-process so repeated fused
-        # grid passes run at the warm-allocation floor.
-        alloctune.retain_freed_heap()
+    # Keep freed tensor scratch pages in-process so repeated fused grid
+    # passes run at the warm-allocation floor.
+    alloctune.retain_freed_heap()
 
     names = (
         list(EXPERIMENTS) if args.artifacts == ["all"] else args.artifacts

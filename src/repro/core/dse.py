@@ -30,8 +30,6 @@ from repro.workloads.kernels import KernelProfile
 __all__ = [
     "DseResult",
     "ENGINES",
-    "default_engine",
-    "set_default_engine",
     "explore",
     "select_optima",
     "best_mean_config",
@@ -51,25 +49,6 @@ ENGINES: tuple[str, ...] = ("tensor", "point")
     evaluate_arrays` loop — the retained oracle the equivalence tests
     and the perf gate compare against.
 """
-
-_default_engine = "tensor"
-
-
-def default_engine() -> str:
-    """The engine :func:`explore` uses when none is passed."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine; returns the previous one.
-
-    ``python -m repro --engine {tensor,point}`` routes through this.
-    """
-    global _default_engine
-    check_engine(engine, ENGINES, "DSE")
-    previous = _default_engine
-    _default_engine = engine
-    return previous
 
 
 @dataclass(frozen=True)
@@ -135,7 +114,7 @@ def explore(
     space: DesignSpace | None = None,
     model: NodeModel | None = None,
     cache=None,
-    engine: str | None = None,
+    engine: str = "tensor",
 ) -> DseResult:
     """Sweep *space* for all *profiles* and locate the optima.
 
@@ -145,11 +124,10 @@ def explore(
     network's static floor.
 
     *engine* selects between the fused whole-grid tensor pass and the
-    per-profile point loop (see :data:`ENGINES`); ``None`` uses
-    :func:`default_engine`. Both engines select bit-identical
-    ``best_mean_index`` / ``per_app_best_index`` optima (gated by
-    ``check_tensor_eval``); their performance/power arrays agree to a
-    few ULPs.
+    per-profile point loop (see :data:`ENGINES`). Both engines select
+    bit-identical ``best_mean_index`` / ``per_app_best_index`` optima
+    (gated by ``check_tensor_eval``); their performance/power arrays
+    agree to a few ULPs.
 
     Grid evaluations go through the shared
     :mod:`repro.perf.evalcache` memo, so re-exploring the same
@@ -163,7 +141,6 @@ def explore(
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise ValueError("profile names must be unique")
-    engine = engine or _default_engine
     check_engine(engine, ENGINES, "DSE")
     space = space or DesignSpace()
     model = model or NodeModel()
@@ -249,11 +226,6 @@ def select_optima(
         best_mean_index=best_mean_index,
         per_app_best_index=per_app_best,
     )
-
-
-# Backwards-compatible alias (pre-serve callers imported the private
-# name).
-_select_optima = select_optima
 
 
 def best_mean_config(

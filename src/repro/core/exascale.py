@@ -7,10 +7,9 @@ achieved exaflops, machine power in megawatts, and whether the 1 EF /
 describes — EHP package power, with external memory idle.
 
 :meth:`ExascaleSystem.cu_sweep` runs the Fig. 14 sweep through the
-fused tensor engine (:meth:`~repro.core.node.NodeModel.evaluate_grid`)
-by default; ``engine="point"`` keeps the original per-point
-:meth:`ExascaleSystem.estimate` loop as the retained oracle. The fleet
-layer (:mod:`repro.fleet`) scales the per-point loop itself to
+fused tensor engine (:meth:`~repro.core.node.NodeModel.evaluate_grid`);
+the per-point :meth:`ExascaleSystem.estimate` loop is its oracle. The
+fleet layer (:mod:`repro.fleet`) scales the per-point loop itself to
 multi-node sweeps over heterogeneous node groups.
 """
 
@@ -22,14 +21,10 @@ import numpy as np
 
 from repro.core.config import DesignSpace, EHPConfig
 from repro.core.node import NodeModel
-from repro.util.engines import check_engine
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
 
-__all__ = ["CU_SWEEP_ENGINES", "ExascaleSystem", "SystemEstimate"]
-
-CU_SWEEP_ENGINES = ("grid", "point")
-"""Engines of :meth:`ExascaleSystem.cu_sweep` (the first is default)."""
+__all__ = ["ExascaleSystem", "SystemEstimate"]
 
 
 @dataclass(frozen=True)
@@ -99,29 +94,23 @@ class ExascaleSystem:
         profile: KernelProfile,
         cu_counts,
         config: EHPConfig | None = None,
-        *,
-        engine: str = "grid",
     ) -> list[SystemEstimate]:
         """Fig. 14's sweep: vary CU count at fixed frequency/bandwidth.
 
-        ``engine="grid"`` (default) evaluates every CU count in one
-        fused :meth:`~repro.core.node.NodeModel.evaluate_grid` pass;
-        ``engine="point"`` is the retained per-point
-        :meth:`estimate` oracle. The fused kernel reassociates
-        arithmetic, so the engines agree to ~1e-13 relative — identical
-        1 EF / 20 MW verdicts on the paper's sweep — rather than bit
-        for bit; ``tests/test_core_exascale_reconfig.py`` pins the
-        equivalence.
+        Evaluates every CU count in one fused
+        :meth:`~repro.core.node.NodeModel.evaluate_grid` pass. Its
+        oracle is ``[self.estimate(profile, c) for c in configs]``; the
+        fused kernel reassociates arithmetic, so the two agree to
+        ~1e-13 relative — identical 1 EF / 20 MW verdicts on the
+        paper's sweep — rather than bit for bit;
+        ``tests/test_core_exascale_reconfig.py`` pins the equivalence.
         """
-        check_engine(engine, CU_SWEEP_ENGINES, "cu_sweep")
         config = config or EHPConfig(
             n_cus=320, gpu_freq=1.0e9, bandwidth=1.0e12
         )
-        # Validate every count through EHPConfig regardless of engine,
-        # so the grid path rejects exactly what the oracle loop would.
+        # Validate every count through EHPConfig, so the grid rejects
+        # exactly what the estimate loop would.
         configs = [config.with_axes(n_cus=int(n)) for n in cu_counts]
-        if engine == "point":
-            return [self.estimate(profile, c) for c in configs]
 
         from repro.power.breakdown import external_memory_power
 

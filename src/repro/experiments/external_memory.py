@@ -13,8 +13,7 @@ nominal-rate charging convention for sensitivity studies.
 :func:`run_fig9_managed` replaces the static per-profile off-package
 share with one *measured* from the software page-migration machinery:
 each application's synthetic trace is split into epochs and driven
-through :class:`~repro.memsys.manager.MemoryManager` (``engine="array"``
-by default, scalar ``"event"`` oracle selectable), and the converged
+through :class:`~repro.memsys.manager.MemoryManager`, and the converged
 in-package fraction sets the external traffic share the power model is
 charged for. Replays route through the shared
 :class:`~repro.perf.evalcache.MemsysCache`.
@@ -154,7 +153,6 @@ def measured_inpackage_fraction(
     seed: int = 42,
     page_size: int = 4096,
     policy: str = "hotness",
-    engine: str = "array",
     cache: MemsysCache | None = None,
 ) -> float:
     """In-package service fraction the page-migration manager converges
@@ -172,7 +170,6 @@ def measured_inpackage_fraction(
         capacity_bytes=capacity,
         page_size=page_size,
         policy=policy,
-        engine=engine,
     )
     return float(fractions[-1])
 
@@ -181,7 +178,6 @@ def run_fig9_managed(
     model: NodeModel | None = None,
     *,
     capacity_fraction: float = 0.25,
-    engine: str = "array",
     cache: MemsysCache | None = None,
 ) -> ExperimentResult:
     """Fig. 9 with the off-package share measured by the page manager.
@@ -211,7 +207,6 @@ def run_fig9_managed(
             in_pkg = measured_inpackage_fraction(
                 profile,
                 capacity_fraction=capacity_fraction,
-                engine=engine,
                 cache=cache,
             )
             ext_fraction = 1.0 - in_pkg

@@ -11,9 +11,8 @@ make it latency-bound.
 analytic model. :func:`run_fig8_measured` instead *measures* each
 application's miss rates by replaying a profile-matched synthetic trace
 through the hardware DRAM-cache model at several capacities
-(``repro.memsys.dramcache``, ``engine="array"`` by default with the
-scalar ``"event"`` oracle selectable), then feeds those measured rates
-into the same performance model — the trace-grounded version of the
+(``repro.memsys.dramcache``), then feeds those measured rates into the
+same performance model — the trace-grounded version of the
 figure. Replays are memoized in the shared
 :class:`~repro.perf.evalcache.MemsysCache`, so repeated sweeps over the
 same stream and geometry are free.
@@ -91,7 +90,6 @@ def measured_miss_rates(
     seed: int = TRACE_SEED,
     page_bytes: int = 4096,
     associativity: int = 8,
-    engine: str = "array",
     cache: MemsysCache | None = None,
 ) -> list[float]:
     """Miss rates measured by replaying the profile's synthetic trace
@@ -99,7 +97,7 @@ def measured_miss_rates(
 
     The trace is deterministic in (profile, seed, length), so the
     memsys cache key is stable across calls and the sweep is memoized
-    per (geometry, stream, engine).
+    per (geometry, stream).
     """
     trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
     cache = cache if cache is not None else default_memsys_cache()
@@ -115,7 +113,6 @@ def measured_miss_rates(
             capacity_bytes=capacity,
             page_bytes=page_bytes,
             associativity=associativity,
-            engine=engine,
         )
         rates.append(1.0 - stats.hit_rate)
     return rates
@@ -125,7 +122,6 @@ def run_fig8_measured(
     capacity_fractions: Sequence[float] = CAPACITY_FRACTIONS,
     machine: MachineParams | None = None,
     *,
-    engine: str = "array",
     cache: MemsysCache | None = None,
 ) -> ExperimentResult:
     """Trace-grounded Fig. 8: per-application performance at the miss
@@ -137,9 +133,7 @@ def run_fig8_measured(
     table = TextTable(columns)
     data: dict[str, dict[str, list[float]]] = {}
     for profile in all_profiles():
-        rates = measured_miss_rates(
-            profile, capacity_fractions, engine=engine, cache=cache
-        )
+        rates = measured_miss_rates(profile, capacity_fractions, cache=cache)
         rel = miss_rate_sweep(
             profile,
             cfg.n_cus,

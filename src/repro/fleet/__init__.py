@@ -7,8 +7,7 @@ package grows that into a fleet simulation:
   between the NoC and the external memory network: directional
   bandwidth asymmetry, protocol overhead, and per-link contention from
   concurrent kernels derate the effective external bandwidth/latency a
-  :class:`~repro.core.node.NodeModel` sees, with the repo's usual
-  scalar-oracle + broadcast-tensor engine pair.
+  :class:`~repro.core.node.NodeModel` sees.
 * :mod:`repro.fleet.spec` — heterogeneous fleets as ``(config,
   profile-mix, node-count)`` groups.
 * :mod:`repro.fleet.sweep` — the fleet-scale CU sweep: profile-major
@@ -21,7 +20,6 @@ package grows that into a fleet simulation:
 """
 
 from repro.fleet.link import (
-    LINK_ENGINES,
     LinkDerate,
     LinkTierParams,
     derate,
@@ -30,7 +28,6 @@ from repro.fleet.link import (
 )
 from repro.fleet.spec import FleetGroup, FleetSpec, synthetic_fleet
 from repro.fleet.sweep import (
-    ENGINES,
     FleetSweepResult,
     fleet_manifest,
     fleet_sweep,
@@ -38,8 +35,6 @@ from repro.fleet.sweep import (
 )
 
 __all__ = [
-    "ENGINES",
-    "LINK_ENGINES",
     "FleetGroup",
     "FleetSpec",
     "FleetSweepResult",

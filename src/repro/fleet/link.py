@@ -22,12 +22,10 @@ latency a :class:`~repro.core.node.NodeModel` evaluates with:
   ``hops * link_latency * (1 + kappa * rho**exponent)`` is added to
   the base external latency.
 
-Two engines, following the repo's pattern: ``"tensor"`` broadcasts the
-closed form over numpy arrays of ``(write_fraction,
-concurrent_kernels)``; ``"point"`` is the scalar oracle loop. Both use
-only elementwise ``+ - * / min max`` and an integer-exponent repeated
-product (never libm ``pow``), so they are bit-identical — a property
-``tests/test_fleet.py`` pins with hypothesis.
+The closed form is evaluated one python-scalar element at a time, using
+only ``+ - * / min max`` and an integer-exponent repeated product (never
+libm ``pow``). The derated floats feed every downstream model
+fingerprint, so that operation sequence is part of the cache keys.
 """
 
 from __future__ import annotations
@@ -39,22 +37,16 @@ import numpy as np
 
 from repro.core.node import NodeModel
 from repro.perfmodel.machine import MachineParams
-from repro.util.engines import check_engine
 from repro.util.units import GB, NS
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
-    "LINK_ENGINES",
     "LinkDerate",
     "LinkTierParams",
     "derate",
     "derate_machine",
     "derate_model",
 ]
-
-LINK_ENGINES = ("tensor", "point")
-"""Valid link-tier engines (the first is the default)."""
-
 
 @dataclass(frozen=True)
 class LinkTierParams:
@@ -109,8 +101,8 @@ class LinkTierParams:
 class LinkDerate:
     """Effective external-memory parameters after the link tier.
 
-    Scalars from the point engine, arrays from the tensor engine; feed
-    them into :func:`derate_machine` /
+    Scalars for scalar inputs, arrays for array inputs; feed them
+    into :func:`derate_machine` /
     :meth:`~repro.core.node.NodeModel.with_machine`.
     """
 
@@ -118,41 +110,29 @@ class LinkDerate:
     ext_latency: np.ndarray | float
 
 
-def _ipow(value, exponent: int):
-    """Integer power by repeated product — the same multiply sequence
-    for python floats and numpy arrays, so the engines cannot diverge
-    the way libm ``pow`` and numpy's vectorized ``**`` can."""
-    result = value * 0.0 + 1.0
+def _ipow(value: float, exponent: int) -> float:
+    """Integer power by repeated product (libm ``pow`` may round the
+    last bit differently)."""
+    result = 1.0
     for _ in range(int(exponent)):
         result = result * value
     return result
 
 
-def _derate_terms(params: LinkTierParams, w, k, base_bandwidth, base_latency):
-    """The closed form, written once for both engines.
-
-    *w*, *k* are either python scalars or numpy arrays; every operation
-    is elementwise, so the scalar loop and the broadcast pass execute
-    identical IEEE operation sequences per element.
-    """
+def _derate_terms(
+    params: LinkTierParams,
+    w: float,
+    k: float,
+    base_bandwidth: float,
+    base_latency: float,
+) -> tuple[float, float]:
+    """The closed form at one ``(write_fraction, kernels)`` point."""
     rx = params.payload_bandwidth * params.downlink_fraction
     tx = params.payload_bandwidth * (1.0 - params.downlink_fraction)
-    per_byte_rx = (1.0 - w) / rx
-    per_byte_tx = w / tx
-    per_byte = (
-        np.maximum(per_byte_rx, per_byte_tx)
-        if isinstance(per_byte_rx, np.ndarray)
-        or isinstance(per_byte_tx, np.ndarray)
-        else max(per_byte_rx, per_byte_tx)
-    )
+    per_byte = max((1.0 - w) / rx, w / tx)
     stream_bw = 1.0 / per_byte
     share = 1.0 / (1.0 + params.arbitration_overhead * (k - 1.0))
-    bw = stream_bw * share
-    bw = (
-        np.minimum(bw, base_bandwidth)
-        if isinstance(bw, np.ndarray)
-        else min(bw, base_bandwidth)
-    )
+    bw = min(stream_bw * share, base_bandwidth)
     rho = (k - 1.0) / k
     growth = 1.0 + params.contention_kappa * _ipow(
         rho, params.contention_exponent
@@ -166,19 +146,15 @@ def derate(
     write_fraction,
     concurrent_kernels=1,
     machine: MachineParams | None = None,
-    *,
-    engine: str = "tensor",
 ) -> LinkDerate:
     """Effective ``(ext_bandwidth, ext_latency)`` under the link tier.
 
     *write_fraction* and *concurrent_kernels* may be scalars or
-    broadcastable arrays. ``engine="tensor"`` evaluates the closed form
-    in one numpy broadcast; ``engine="point"`` loops python scalars over
-    the broadcast elements — the oracle. The link tier only ever
-    *degrades*: effective bandwidth is capped at the machine's
-    ``ext_bandwidth`` and latency only grows from ``ext_latency``.
+    broadcastable arrays; the closed form runs on python scalars over
+    the broadcast elements. The link tier only ever *degrades*:
+    effective bandwidth is capped at the machine's ``ext_bandwidth``
+    and latency only grows from ``ext_latency``.
     """
-    check_engine(engine, LINK_ENGINES, "link")
     machine = machine or MachineParams()
     w_arr = np.asarray(write_fraction, dtype=float)
     k_arr = np.asarray(concurrent_kernels, dtype=float)
@@ -188,31 +164,19 @@ def derate(
         raise ValueError("concurrent_kernels must be >= 1")
     scalar_in = w_arr.ndim == 0 and k_arr.ndim == 0
 
-    if engine == "tensor":
-        w_b, k_b = np.broadcast_arrays(w_arr, k_arr)
-        bw, lat = _derate_terms(
-            params, w_b, k_b, machine.ext_bandwidth, machine.ext_latency
+    w_b, k_b = np.broadcast_arrays(w_arr, k_arr)
+    bw = np.empty(w_b.shape, dtype=float)
+    lat = np.empty(w_b.shape, dtype=float)
+    flat_w, flat_k = w_b.ravel(), k_b.ravel()
+    flat_bw, flat_lat = bw.ravel(), lat.ravel()
+    for i in range(flat_w.size):
+        flat_bw[i], flat_lat[i] = _derate_terms(
+            params,
+            float(flat_w[i]),
+            float(flat_k[i]),
+            machine.ext_bandwidth,
+            machine.ext_latency,
         )
-        bw = np.asarray(bw, dtype=float)
-        lat = np.broadcast_to(
-            np.asarray(lat, dtype=float), bw.shape
-        ).copy()
-    else:
-        w_b, k_b = np.broadcast_arrays(w_arr, k_arr)
-        bw = np.empty(w_b.shape, dtype=float)
-        lat = np.empty(w_b.shape, dtype=float)
-        flat_w, flat_k = w_b.ravel(), k_b.ravel()
-        flat_bw, flat_lat = bw.ravel(), lat.ravel()
-        for i in range(flat_w.size):
-            b, l = _derate_terms(
-                params,
-                float(flat_w[i]),
-                float(flat_k[i]),
-                machine.ext_bandwidth,
-                machine.ext_latency,
-            )
-            flat_bw[i] = b
-            flat_lat[i] = l
     if scalar_in:
         return LinkDerate(
             ext_bandwidth=float(bw), ext_latency=float(lat)
@@ -228,8 +192,8 @@ def derate_machine(
 ) -> MachineParams:
     """*machine* with its external path derated by the link tier.
 
-    Scalar (point-engine) evaluation, so the replaced fields are plain
-    python floats and the machine's repr — hence every downstream
+    Scalar evaluation, so the replaced fields are plain python floats
+    and the machine's repr — hence every downstream
     :func:`~repro.perf.evalcache.fingerprint_model` — keys the derate
     deterministically.
     """
@@ -238,7 +202,6 @@ def derate_machine(
         float(write_fraction),
         float(concurrent_kernels),
         machine,
-        engine="point",
     )
     return dataclasses.replace(
         machine,

@@ -6,7 +6,7 @@ profile)`` series it runs the same scalar per-point loop as
 derated, ``ext_fraction`` taken from the profile — and rolls the
 series up into group and fleet curves.
 
-:func:`fleet_sweep` is the production engine. It partitions each
+:func:`fleet_sweep` is the production path. It partitions each
 series' CU axis into chunks, ships every chunk to a
 :class:`~repro.perf.pool.ShardedPool` worker as an independent task,
 and reassembles. Three properties make it both fast and trustworthy:
@@ -40,7 +40,6 @@ from repro.core.exascale import ExascaleSystem
 from repro.core.node import NodeModel
 from repro.fleet.link import derate_model
 from repro.fleet.spec import FleetGroup, FleetSpec, fingerprint_group
-from repro.obs.metrics import MetricsSnapshot
 from repro.perf.evalcache import (
     fingerprint_model,
     fingerprint_profile,
@@ -48,21 +47,15 @@ from repro.perf.evalcache import (
 )
 from repro.perf.parallel import grid_chunks
 from repro.perf.pool import PoolTask, ShardedPool
-from repro.util.engines import check_engine
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
-    "ENGINES",
     "FleetSweepResult",
     "fleet_manifest",
     "fleet_sweep",
     "fleet_sweep_serial",
 ]
-
-ENGINES = ("sharded", "serial")
-"""Valid fleet sweep engines (the first is the default)."""
-
 
 @dataclass(frozen=True)
 class FleetSweepResult:
@@ -166,7 +159,7 @@ def _finalize(
     """Group and fleet roll-ups from per-series curves.
 
     Deterministic reduction order (profiles then groups, both in spec
-    order) so the serial and sharded engines sum identically.
+    order) so the serial and sharded sweeps sum identically.
     """
     n = len(cu_counts)
     series_exa: dict[tuple[str, str], np.ndarray] = {}
@@ -217,7 +210,7 @@ def _scale_series(
     Elementwise ``perf * n_nodes / 1e18`` is the same IEEE operation
     sequence as :meth:`ExascaleSystem.estimate`'s scalar
     ``node_flops * n_nodes / 1.0e18`` (integer node counts are exact
-    in float64), keeping the engines bit-identical.
+    in float64), keeping the two sweeps bit-identical.
     """
     return (
         perf * group.n_nodes / 1.0e18,
@@ -267,7 +260,6 @@ def fleet_sweep(
     cu_counts,
     model: NodeModel | None = None,
     *,
-    engine: str = "sharded",
     pool: ShardedPool | None = None,
     n_chunks: int | None = None,
     metrics: bool = False,
@@ -275,26 +267,20 @@ def fleet_sweep(
 ):
     """Sweep the fleet's CU axis; bit-identical to the serial oracle.
 
-    ``engine="sharded"`` partitions every ``(group, profile)`` series
-    into *n_chunks* CU chunks and runs them as independent memoized
-    tasks on *pool* (shard keys lead with the group fingerprint for
-    cache affinity; ``None`` means the in-process ``ShardedPool(0)``).
-    *spill_dir* adds the shared on-disk warm tier.
-    ``engine="serial"`` delegates to :func:`fleet_sweep_serial`.
+    Partitions every ``(group, profile)`` series into *n_chunks* CU
+    chunks and runs them as independent memoized tasks on *pool* (shard
+    keys lead with the group fingerprint for cache affinity; ``None``
+    means the in-process ``ShardedPool(0)``). *spill_dir* adds the
+    shared on-disk warm tier.
 
     With ``metrics=True`` returns ``(result, snapshot)``; the snapshot
     merges every worker's registry delta for the run (the parent's own
     delta in-process).
     """
-    check_engine(engine, ENGINES, "fleet")
     model = model or NodeModel()
     cu_list = tuple(int(n) for n in cu_counts)
     if not cu_list:
         raise ValueError("cu_counts must be non-empty")
-
-    if engine == "serial":
-        result = fleet_sweep_serial(spec, cu_list, model)
-        return (result, MetricsSnapshot.empty()) if metrics else result
 
     if pool is None:
         pool = ShardedPool(0)

@@ -11,7 +11,8 @@ The model is a set-associative cache with cache-line-grain sectors and
 page-grain allocation, tracked with simple LRU, sized for functional
 behaviour studies rather than cycle accuracy.
 
-Two interchangeable engines stream a trace through the cache:
+Two interchangeable engines stream a trace through the cache, chosen
+per :meth:`DramCache.run_trace` call:
 
 ``engine="event"``
     The original one-address-at-a-time loop over
@@ -82,10 +83,6 @@ class DramCache:
         page granularity — page-grain keeps tag overheads negligible.
     associativity:
         Ways per set.
-    engine:
-        Default execution engine for :meth:`run_trace`, ``"array"``
-        (batched fast path) or ``"event"`` (the scalar oracle). Either
-        can be overridden per call.
     """
 
     def __init__(
@@ -93,7 +90,6 @@ class DramCache:
         capacity_bytes: float = 256.0e9,
         page_bytes: int = 4096,
         associativity: int = 8,
-        engine: str = "array",
     ):
         if capacity_bytes <= 0 or page_bytes <= 0 or associativity <= 0:
             raise ValueError("cache geometry must be positive")
@@ -103,7 +99,6 @@ class DramCache:
         self.page_bytes = page_bytes
         self.associativity = associativity
         self.n_sets = n_frames // associativity
-        self.engine = check_engine(engine, ENGINES)
         # set index -> insertion-ordered dict of tag -> dirty flag; the
         # first key is always the LRU way (pop + reinsert on every hit).
         self._sets: dict[int, dict[int, bool]] = {}
@@ -205,11 +200,13 @@ class DramCache:
         return np.asarray(flags, dtype=bool)
 
     def run_trace(self, addresses, writes=None,
-                  engine: str | None = None) -> DramCacheStats:
-        """Stream a whole trace; returns the cumulative statistics."""
-        engine = (
-            self.engine if engine is None else check_engine(engine, ENGINES)
-        )
+                  engine: str = "array") -> DramCacheStats:
+        """Stream a whole trace; returns the cumulative statistics.
+
+        ``engine="array"`` (batched fast path) or ``"event"`` (the
+        scalar oracle).
+        """
+        check_engine(engine, ENGINES)
         addresses = np.asarray(addresses, dtype=np.int64)
         with obs_trace.span(
             "dramcache.run_trace", engine=engine,

@@ -14,7 +14,8 @@ module implements that machinery over synthetic access histograms:
   cost accounting, and the achieved in-package hit fraction that feeds
   the Fig. 8 performance model.
 
-Two interchangeable engines drive the epoch loop:
+Two interchangeable engines drive the epoch loop, chosen per
+:meth:`MemoryManager.run_batch` call:
 
 ``engine="event"``
     The original scalar path: :meth:`MemoryManager.epoch` builds a
@@ -201,10 +202,6 @@ class MemoryManager:
         and falls back to the scalar policy call for anything else.
     page_size:
         Placement grain.
-    engine:
-        Default execution engine for :meth:`run` / :meth:`run_batch`,
-        ``"array"`` (vectorized epochs) or ``"event"`` (the scalar
-        oracle). Either can be overridden per call.
     """
 
     def __init__(
@@ -212,7 +209,6 @@ class MemoryManager:
         capacity_bytes: float,
         policy: PlacementPolicy,
         page_size: int = PAGE,
-        engine: str = "array",
     ):
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
@@ -221,7 +217,6 @@ class MemoryManager:
         self.capacity_pages = int(capacity_bytes // page_size)
         self.page_size = page_size
         self.policy = policy
-        self.engine = check_engine(engine, ENGINES)
         self.placement: dict[int, MemoryLevel] = {}
         self.total_migrated = 0
         # Resident-page mirror for the array engine; None means stale
@@ -391,13 +386,15 @@ class MemoryManager:
         return hit_fraction
 
     def run_batch(
-        self, epochs: list[np.ndarray], engine: str | None = None
+        self, epochs: list[np.ndarray], engine: str = "array"
     ) -> list[float]:
         """Process several epoch arrays through one shared placement
-        state; returns per-epoch in-package fractions."""
-        engine = (
-            self.engine if engine is None else check_engine(engine, ENGINES)
-        )
+        state; returns per-epoch in-package fractions.
+
+        ``engine="array"`` (vectorized epochs) or ``"event"`` (the
+        scalar oracle).
+        """
+        check_engine(engine, ENGINES)
         total = sum(int(np.asarray(e).size) for e in epochs)
         with obs_trace.span(
             "manager.run_batch", engine=engine, epochs=len(epochs),
@@ -412,7 +409,7 @@ class MemoryManager:
         return fractions
 
     def run(
-        self, epochs: list[np.ndarray], engine: str | None = None
+        self, epochs: list[np.ndarray], engine: str = "array"
     ) -> list[float]:
         """Process several epochs; returns per-epoch in-package fractions."""
         return self.run_batch(epochs, engine=engine)

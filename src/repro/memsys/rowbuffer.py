@@ -9,7 +9,8 @@ row mapping follow the standard address split.
 Used by the trace-driven simulator and the memory-management ablation to
 ground the analytic model's latency inputs in trace behaviour.
 
-Two interchangeable engines execute the same semantics:
+Two interchangeable engines execute the same semantics, chosen per
+:meth:`RowBufferSim.run` call:
 
 ``engine="event"``
     The original one-access-at-a-time loop over :meth:`RowBufferSim.access`,
@@ -73,10 +74,6 @@ class RowBufferSim:
     channel_interleave_bytes:
         Consecutive-address stride mapped to the same bank before
         rotating; smaller values spread streams across banks faster.
-    engine:
-        Default execution engine for :meth:`run`, ``"array"`` (fast
-        path) or ``"event"`` (the scalar oracle). Either can be
-        overridden per call.
     """
 
     def __init__(
@@ -84,14 +81,12 @@ class RowBufferSim:
         n_banks: int = 128,
         row_bytes: int = 1024,
         channel_interleave_bytes: int = 256,
-        engine: str = "array",
     ):
         if n_banks <= 0 or row_bytes <= 0 or channel_interleave_bytes <= 0:
             raise ValueError("geometry must be positive")
         self.n_banks = n_banks
         self.row_bytes = row_bytes
         self.interleave = channel_interleave_bytes
-        self.engine = check_engine(engine, ENGINES)
         self._open_row = np.full(n_banks, -1, dtype=np.int64)
         self._last_bank = -1
         self.stats = RowBufferStats()
@@ -118,15 +113,14 @@ class RowBufferSim:
         self._last_bank = bank
         return bool(hit)
 
-    def run(self, addresses, engine: str | None = None) -> RowBufferStats:
+    def run(self, addresses, engine: str = "array") -> RowBufferStats:
         """Stream an address array; returns cumulative statistics.
 
         Continues from the tracker's current open-row state, exactly as
-        repeated :meth:`access` calls would.
+        repeated :meth:`access` calls would. ``engine="array"`` (fast
+        path) or ``"event"`` (the scalar oracle).
         """
-        engine = (
-            self.engine if engine is None else check_engine(engine, ENGINES)
-        )
+        check_engine(engine, ENGINES)
         addresses = np.asarray(addresses, dtype=np.int64)
         with obs_trace.span(
             "rowbuffer.run", engine=engine, accesses=int(addresses.size)

@@ -2,12 +2,12 @@
 
 A manifest captures everything needed to attribute and reproduce a
 result after the process is gone: the git revision, the default model's
-value fingerprint, which engines the simulators default to, every
-shared evaluation cache's hit/miss/spill counters, wall times, and the
-full metrics-registry snapshot. ``python -m repro ... --metrics-out
-manifest.json`` and ``benchmarks/check_perf.py --metrics-out`` both
-write one; CI uploads them as workflow artifacts so perf trajectories
-stay inspectable per commit.
+value fingerprint, the fast and oracle engines of every dual-engine
+model call, every shared evaluation cache's hit/miss/spill counters,
+wall times, and the full metrics-registry snapshot. ``python -m repro
+... --metrics-out manifest.json`` and ``benchmarks/check_perf.py
+--metrics-out`` both write one; CI uploads them as workflow artifacts
+so perf trajectories stay inspectable per commit.
 
 Imports of the model/cache layers happen inside the builder functions:
 the instrumented hot modules import :mod:`repro.obs.metrics` at import
@@ -88,32 +88,25 @@ def git_describe(cwd: str | None = None) -> str | None:
 
 
 def engine_choices() -> dict:
-    """Default and available engines of every dual-engine subsystem."""
-    from repro.core import dse, exascale
-    from repro.fleet import link, sweep
+    """Default and available engines of every dual-engine model call
+    (each module's tuple lists the default first)."""
+    from repro.core import dse
     from repro.memsys import dramcache, manager, rowbuffer
     from repro.sim import apu_sim
+    from repro.thermal import grid
 
     subsystems = {
         "sim.apu_sim": apu_sim.ENGINES,
         "memsys.rowbuffer": rowbuffer.ENGINES,
         "memsys.dramcache": dramcache.ENGINES,
         "memsys.manager": manager.ENGINES,
-        "core.exascale.cu_sweep": exascale.CU_SWEEP_ENGINES,
-        "fleet.link": link.LINK_ENGINES,
-        "fleet.sweep": sweep.ENGINES,
+        "core.dse": dse.ENGINES,
+        "thermal.grid": grid.STEP_ENGINES,
     }
-    choices = {
+    return {
         name: {"default": engines[0], "available": list(engines)}
         for name, engines in subsystems.items()
     }
-    # The DSE's default is process-wide state (python -m repro --engine
-    # routes through set_default_engine), so report the live value.
-    choices["core.dse"] = {
-        "default": dse.default_engine(),
-        "available": list(dse.ENGINES),
-    }
-    return choices
 
 
 def cache_stats() -> dict:

@@ -3,8 +3,8 @@
 * :mod:`repro.perf.evalcache` — shared, fingerprint-keyed memos in
   front of :meth:`repro.core.node.NodeModel.evaluate_arrays` and
   :meth:`repro.sim.apu_sim.ApuSimulator.run`, so every (profile, design
-  grid, model) combination and every (sim config, trace, engine)
-  simulation is computed once no matter how many drivers ask for it.
+  grid, model) combination and every (sim config, trace) simulation
+  is computed once no matter how many drivers ask for it.
 * :mod:`repro.perf.pool` — :class:`ShardedPool`, the one executor
   every fan-out runs on: worker processes with cache-affinity
   scheduling, spawned once and reused across sweeps, with stable shard

@@ -19,14 +19,14 @@ therefore share cache entries, and *any* parameter change — a different
 configuration — changes the fingerprint and misses cleanly.
 
 The same scheme fronts the trace-driven APU simulator
-(:class:`SimCache`): ``(sim-config fingerprint, trace fingerprint,
-engine) -> ApuSimResult``, so calibration cross-check sweeps that replay
-one kernel's trace against several engines/configs never re-simulate a
-(config, trace) pair they have already measured.
+(:class:`SimCache`): ``(sim-config fingerprint, trace fingerprint) ->
+ApuSimResult``, so calibration cross-check sweeps that replay one
+kernel's trace against several configs never re-simulate a (config,
+trace) pair they have already measured.
 
 The third front is the vectorized memory-system layer
 (:class:`MemsysCache`): DRAM-cache, row-buffer, and page-migration
-replays keyed by ``(geometry, address-stream fingerprint, engine)``, so
+replays keyed by ``(geometry, address-stream fingerprint)``, so
 capacity sweeps that push the same 50k-address stream through a dozen
 cache sizes only pay for each geometry once per process — or once
 *ever* with spill enabled.
@@ -728,58 +728,50 @@ def evaluate_grid_cached(
 class SimCache(_KeyedMemo):
     """Keyed memo fronting :meth:`ApuSimulator.run`.
 
-    Key: ``(sim-config fingerprint, trace fingerprint, engine)``. Both
-    engines are cached independently — the oracle harness deliberately
-    runs the same (config, trace) pair through each engine, and the
-    entries must not alias.
+    Key: ``(sim-config fingerprint, trace fingerprint)``.
     """
 
     metrics_prefix = "cache.sim"
 
     @staticmethod
     def _run_key(
-        trace: MemoryTrace, simulator: ApuSimulator
+        trace: MemoryTrace, config: ApuSimConfig | None
     ) -> tuple:
         return (
-            fingerprint_sim_config(simulator.config),
+            fingerprint_sim_config(config or ApuSimConfig()),
             fingerprint_trace(trace),
-            simulator.engine,
         )
 
     def run(
         self,
         trace: MemoryTrace,
         config: ApuSimConfig | None = None,
-        engine: str | None = None,
     ) -> ApuSimResult:
-        """Cached equivalent of ``ApuSimulator(config, engine).run(trace)``."""
-        simulator = ApuSimulator(config, engine=engine or "array")
-        key = self._run_key(trace, simulator)
-        return self._get_or_compute(key, lambda: simulator.run(trace))
+        """Cached equivalent of ``ApuSimulator(config).run(trace)``."""
+        return self._get_or_compute(
+            self._run_key(trace, config),
+            lambda: ApuSimulator(config).run(trace),
+        )
 
     def peek_run(
         self,
         trace: MemoryTrace,
         config: ApuSimConfig | None = None,
-        engine: str | None = None,
     ) -> ApuSimResult | None:
         """The cached simulation for these arguments, or ``None`` —
         never simulates (the serving layer's inline probe)."""
-        simulator = ApuSimulator(config, engine=engine or "array")
-        return self._peek(self._run_key(trace, simulator))
+        return self._peek(self._run_key(trace, config))
 
     def seed_run(
         self,
         trace: MemoryTrace,
         value: ApuSimResult,
         config: ApuSimConfig | None = None,
-        engine: str | None = None,
     ) -> None:
         """Insert a simulation computed elsewhere (a pool worker) under
         these arguments' key, so the next identical request hits
         :meth:`peek_run` inline."""
-        simulator = ApuSimulator(config, engine=engine or "array")
-        self._seed(self._run_key(trace, simulator), value)
+        self._seed(self._run_key(trace, config), value)
 
 
 _default_sim_cache = SimCache()
@@ -793,7 +785,6 @@ def default_sim_cache() -> SimCache:
 def simulate_trace_cached(
     trace: MemoryTrace,
     config: ApuSimConfig | None = None,
-    engine: str | None = None,
     cache: SimCache | None = None,
 ) -> ApuSimResult:
     """Module-level convenience over :meth:`SimCache.run`.
@@ -801,17 +792,15 @@ def simulate_trace_cached(
     ``cache=None`` uses the shared :func:`default_sim_cache`.
     """
     cache = cache if cache is not None else _default_sim_cache
-    return cache.run(trace, config=config, engine=engine)
+    return cache.run(trace, config=config)
 
 
 class MemsysCache(_KeyedMemo):
-    """Keyed memo fronting the memory-system engines.
+    """Keyed memo fronting the memory-system replays.
 
-    Keys are ``(kind, geometry..., address-stream fingerprint, engine)``
-    tuples; the three kinds cover the DRAM-cache, row-buffer, and
-    page-migration replays the Fig. 8/9 experiment drivers run. As with
-    :class:`SimCache`, both engines are cached independently so the
-    oracle harness's deliberate double runs never alias.
+    Keys are ``(kind, geometry..., address-stream fingerprint)`` tuples;
+    the three kinds cover the DRAM-cache, row-buffer, and page-migration
+    replays the Fig. 8/9 experiment drivers run.
     """
 
     metrics_prefix = "cache.memsys"
@@ -824,7 +813,6 @@ class MemsysCache(_KeyedMemo):
         capacity_bytes: float = 256.0e9,
         page_bytes: int = 4096,
         associativity: int = 8,
-        engine: str = "array",
     ) -> DramCacheStats:
         """Cached ``DramCache(...).run_trace(addresses, writes)`` from a
         cold cache."""
@@ -834,13 +822,10 @@ class MemsysCache(_KeyedMemo):
             int(page_bytes),
             int(associativity),
             fingerprint_addresses(addresses, writes),
-            engine,
         )
 
         def compute() -> DramCacheStats:
-            cache = DramCache(
-                capacity_bytes, page_bytes, associativity, engine=engine
-            )
+            cache = DramCache(capacity_bytes, page_bytes, associativity)
             return cache.run_trace(addresses, writes)
 
         return self._get_or_compute(key, compute)
@@ -852,7 +837,6 @@ class MemsysCache(_KeyedMemo):
         n_banks: int = 128,
         row_bytes: int = 1024,
         channel_interleave_bytes: int = 256,
-        engine: str = "array",
     ) -> RowBufferStats:
         """Cached ``RowBufferSim(...).run(addresses)`` from closed rows."""
         key = (
@@ -861,13 +845,10 @@ class MemsysCache(_KeyedMemo):
             int(row_bytes),
             int(channel_interleave_bytes),
             fingerprint_addresses(addresses),
-            engine,
         )
 
         def compute() -> RowBufferStats:
-            sim = RowBufferSim(
-                n_banks, row_bytes, channel_interleave_bytes, engine=engine
-            )
+            sim = RowBufferSim(n_banks, row_bytes, channel_interleave_bytes)
             return sim.run(addresses)
 
         return self._get_or_compute(key, compute)
@@ -881,7 +862,6 @@ class MemsysCache(_KeyedMemo):
         page_size: int = 4096,
         policy: str = "hotness",
         migration_limit: int | None = None,
-        engine: str = "array",
     ) -> tuple[float, ...]:
         """Cached per-epoch in-package fractions: the address stream is
         split into *n_epochs* contiguous epochs and driven through a
@@ -898,7 +878,6 @@ class MemsysCache(_KeyedMemo):
             policy,
             migration_limit,
             fingerprint_addresses(addresses),
-            engine,
         )
 
         def compute() -> tuple[float, ...]:
@@ -906,9 +885,7 @@ class MemsysCache(_KeyedMemo):
                 pol = HotnessMigrationPolicy(migration_limit)
             else:
                 pol = FirstTouchPolicy()
-            manager = MemoryManager(
-                capacity_bytes, pol, page_size, engine=engine
-            )
+            manager = MemoryManager(capacity_bytes, pol, page_size)
             arr = np.asarray(addresses, dtype=np.int64)
             epochs = np.array_split(arr, n_epochs)
             return tuple(manager.run_batch(epochs))

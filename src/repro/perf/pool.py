@@ -110,6 +110,8 @@ def stable_shard(shard_key: Any, n_shards: int) -> int:
     (unlike the salted builtin ``hash``), which is what makes a task's
     owner worker a property of the task, not of the session.
     """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     digest = hashlib.sha1(repr(shard_key).encode()).digest()
     return int.from_bytes(digest[:8], "big") % n_shards
 
@@ -405,7 +407,13 @@ class ShardedPool:
     # Introspection
     # ------------------------------------------------------------------
     def shard_for(self, shard_key: Any) -> int:
-        """The worker that owns *shard_key* under the affinity policy."""
+        """The worker that owns *shard_key* under the affinity policy.
+
+        An in-process pool (``n_shards == 0``) has no workers to own
+        anything, so this raises ``ValueError``.
+        """
+        if self.n_shards == 0:
+            raise ValueError("in-process pool (n_shards=0) has no shards")
         return stable_shard(shard_key, self.n_shards)
 
     def stats(self) -> PoolStats:

@@ -143,7 +143,6 @@ class SimulateRequest:
 
     trace: Any
     config: Any = None
-    engine: str | None = None
     stream: str = "default"
     deadline_s: float | None = None
 

@@ -127,10 +127,10 @@ def _serve_run_experiment(name):
         return ("err", _picklable_exception(exc))
 
 
-def _serve_simulate(trace, config, engine):
+def _serve_simulate(trace, config):
     """One SimCache-fronted trace simulation."""
     try:
-        return ("ok", simulate_trace_cached(trace, config=config, engine=engine))
+        return ("ok", simulate_trace_cached(trace, config=config))
     except BaseException as exc:
         return ("err", _picklable_exception(exc))
 
@@ -330,8 +330,7 @@ def serial_answer(request, model: NodeModel | None = None):
     if isinstance(request, SimulateRequest):
         from repro.sim.apu_sim import ApuSimulator
 
-        sim = ApuSimulator(request.config, engine=request.engine or "array")
-        return sim.run(request.trace)
+        return ApuSimulator(request.config).run(request.trace)
     raise TypeError(f"unknown request type {type(request).__name__}")
 
 
@@ -534,13 +533,9 @@ class EvalService:
         """Submit one :class:`ExperimentRequest`."""
         return await self.submit(ExperimentRequest(name, **kwargs))
 
-    async def simulate(
-        self, trace, config=None, engine=None, **kwargs
-    ) -> ServeResponse:
+    async def simulate(self, trace, config=None, **kwargs) -> ServeResponse:
         """Submit one :class:`SimulateRequest`."""
-        return await self.submit(
-            SimulateRequest(trace, config, engine, **kwargs)
-        )
+        return await self.submit(SimulateRequest(trace, config, **kwargs))
 
     async def submit(self, request) -> ServeResponse:
         """Admit one request and await its terminal response."""
@@ -648,9 +643,7 @@ class EvalService:
         if isinstance(request, ExperimentRequest):
             return self._experiment_memo.get(request.name)
         if isinstance(request, SimulateRequest):
-            return self.sim_cache.peek_run(
-                request.trace, request.config, request.engine
-            )
+            return self.sim_cache.peek_run(request.trace, request.config)
         return None
 
     def _group_key(self, request) -> Any:
@@ -875,7 +868,7 @@ class EvalService:
                 fn, args = _serve_run_experiment, (req.name,)
                 shard_key = ("serve-exp", req.name)
             elif isinstance(req, SimulateRequest):
-                fn, args = _serve_simulate, (req.trace, req.config, req.engine)
+                fn, args = _serve_simulate, (req.trace, req.config)
                 shard_key = ("serve-sim", ticket.seq)
             else:
                 results[ticket.seq] = (
@@ -954,9 +947,7 @@ class EvalService:
             elif isinstance(req, SimulateRequest):
                 # The worker computed (and worker-side cached) it; seed
                 # the parent cache so repeats answer inline.
-                self.sim_cache.seed_run(
-                    req.trace, payload, req.config, req.engine
-                )
+                self.sim_cache.seed_run(req.trace, payload, req.config)
             results[ticket.seq] = (OK, (payload, "solo"))
         else:
             results[ticket.seq] = (FAILED, payload)

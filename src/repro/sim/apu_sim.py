@@ -8,7 +8,8 @@ rates, and mean memory latency — the quantities the analytic model
 abstracts — so the two can be compared on the same workload (the paper's
 gem5-adjustment role).
 
-Two interchangeable engines execute the same semantics:
+Two interchangeable engines execute the same semantics, chosen per
+:meth:`ApuSimulator.run` / :meth:`ApuSimulator.run_batch` call:
 
 ``engine="event"``
     The original discrete-event implementation on
@@ -122,15 +123,10 @@ class ApuSimulator:
     ----------
     config:
         Simulation parameters (defaults to :class:`ApuSimConfig`).
-    engine:
-        Default execution engine, ``"array"`` (fast path) or ``"event"``
-        (the discrete-event oracle). Either can be overridden per call.
     """
 
-    def __init__(self, config: ApuSimConfig | None = None,
-                 engine: str = "array"):
+    def __init__(self, config: ApuSimConfig | None = None):
         self.config = config or ApuSimConfig()
-        self.engine = check_engine(engine, ENGINES)
 
     def _build_cache(self) -> CacheSim:
         cfg = self.config
@@ -141,11 +137,13 @@ class ApuSimulator:
             ]
         )
 
-    def run(self, trace: MemoryTrace, engine: str | None = None) -> ApuSimResult:
-        """Execute *trace* split round-robin across all wavefronts."""
-        engine = (
-            self.engine if engine is None else check_engine(engine, ENGINES)
-        )
+    def run(self, trace: MemoryTrace, engine: str = "array") -> ApuSimResult:
+        """Execute *trace* split round-robin across all wavefronts.
+
+        ``engine="array"`` (fast path) or ``"event"`` (the
+        discrete-event oracle).
+        """
+        check_engine(engine, ENGINES)
         if len(trace) == 0:
             raise ValueError("empty trace")
         with obs_trace.span(
@@ -163,7 +161,7 @@ class ApuSimulator:
     def run_batch(
         self,
         traces: Iterable[MemoryTrace],
-        engine: str | None = None,
+        engine: str = "array",
     ) -> list[ApuSimResult]:
         """Run several traces through one configuration.
 
@@ -171,11 +169,10 @@ class ApuSimulator:
         :meth:`run` per trace), but the config-derived setup — cache
         geometry, per-wavefront CU assignment, derived rates — is
         computed once and shared, which is what calibration sweeps over
-        many traces of one kernel profile want.
+        many traces of one kernel profile want. *engine* is as in
+        :meth:`run`.
         """
-        engine = (
-            self.engine if engine is None else check_engine(engine, ENGINES)
-        )
+        check_engine(engine, ENGINES)
         traces = list(traces)
         for trace in traces:
             if len(trace) == 0:

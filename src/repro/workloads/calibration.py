@@ -527,7 +527,6 @@ def trace_crosscheck(
     model: NodeModel | None = None,
     n_accesses: int = 20_000,
     seed: int = DEFAULT_TRACE_SEED,
-    engine: str | None = None,
 ) -> list[TraceCrosscheckRow]:
     """Cross-check the trace simulator against the analytic model.
 
@@ -541,8 +540,8 @@ def trace_crosscheck(
     Both hot calls route through the shared fingerprint caches
     (:func:`repro.perf.evalcache.simulate_trace_cached` and
     :func:`repro.perf.evalcache.evaluate_arrays_cached`), so repeated
-    sweeps — e.g. over engines, or from several drivers — never
-    recompute a (config, trace) pair.
+    sweeps — e.g. from several drivers — never recompute a (config,
+    trace) pair.
     """
     from repro.workloads.catalog import APPLICATIONS, get_application
 
@@ -553,7 +552,7 @@ def trace_crosscheck(
     for name in list(names) if names is not None else list(APPLICATIONS):
         profile = get_application(name)
         trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
-        sim = simulate_trace_cached(trace, sim_config, engine=engine)
+        sim = simulate_trace_cached(trace, sim_config)
         ev = evaluate_arrays_cached(
             model, profile, best.n_cus, best.gpu_freq, best.bandwidth
         )
@@ -599,7 +598,6 @@ def chiplet_penalty_table(
     model: NodeModel | None = None,
     n_accesses: int = 20_000,
     seed: int = DEFAULT_TRACE_SEED,
-    engine: str | None = None,
 ) -> list[ChipletPenaltyRow]:
     """Fig. 7-style chiplet-penalty table, simulated vs analytic.
 
@@ -632,7 +630,7 @@ def chiplet_penalty_table(
             cfg = dataclasses.replace(
                 sim_config, chiplet_extra_latency=penalty_ns * 1e-9
             )
-            sim = simulate_trace_cached(trace, cfg, engine=engine)
+            sim = simulate_trace_cached(trace, cfg)
             ev = evaluate_arrays_cached(
                 model,
                 profile,

@@ -87,8 +87,11 @@ class TestExascaleSystem:
         system = ExascaleSystem()
         profile = get_application("LULESH")
         cus = (192, 224, 256, 288, 320, 384)
-        grid = system.cu_sweep(profile, cus, engine="grid")
-        point = system.cu_sweep(profile, cus, engine="point")
+        grid = system.cu_sweep(profile, cus)
+        base = EHPConfig(n_cus=320, gpu_freq=1.0e9, bandwidth=1.0e12)
+        point = [
+            system.estimate(profile, base.with_axes(n_cus=n)) for n in cus
+        ]
         for g, p in zip(grid, point):
             assert g.exaflops == pytest.approx(p.exaflops, rel=1e-12)
             assert g.machine_power_mw == pytest.approx(
@@ -97,21 +100,12 @@ class TestExascaleSystem:
             assert g.meets_exaflop == p.meets_exaflop
             assert g.meets_power_envelope == p.meets_power_envelope
 
-    def test_cu_sweep_rejects_unknown_engine(self):
-        system = ExascaleSystem()
-        with pytest.raises(ValueError, match="unknown cu_sweep engine"):
-            system.cu_sweep(
-                get_application("MaxFlops"), (320,), engine="magic"
-            )
-
     def test_cu_sweep_grid_validates_counts(self):
-        # The grid engine must reject exactly what the oracle rejects:
-        # counts not divisible by the chiplet count.
+        # The grid sweep must reject exactly what the estimate loop
+        # rejects: counts not divisible by the chiplet count.
         system = ExascaleSystem()
         with pytest.raises(ValueError):
-            system.cu_sweep(
-                get_application("MaxFlops"), (321,), engine="grid"
-            )
+            system.cu_sweep(get_application("MaxFlops"), (321,))
 
 
 class TestOracleReconfigurator:

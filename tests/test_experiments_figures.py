@@ -310,17 +310,31 @@ class TestFig8Measured:
                        for p in payload["relative_pct"])
 
     def test_engines_agree(self):
-        from repro.experiments.miss_sensitivity import measured_miss_rates
+        from repro.experiments.miss_sensitivity import (
+            TRACE_ACCESSES,
+            TRACE_SEED,
+            measured_miss_rates,
+        )
+        from repro.memsys.dramcache import DramCache
         from repro.perf.evalcache import MemsysCache
         from repro.workloads.catalog import get_application
+        from repro.workloads.traces import TraceGenerator
 
         profile = get_application("CoMD")
         array_rates = measured_miss_rates(
             profile, (0.05, 0.5), cache=MemsysCache()
         )
-        event_rates = measured_miss_rates(
-            profile, (0.05, 0.5), engine="event", cache=MemsysCache()
+        # The same stream and geometries through the scalar oracle.
+        trace = TraceGenerator(profile, seed=TRACE_SEED).generate(
+            TRACE_ACCESSES
         )
+        event_rates = []
+        for fraction in (0.05, 0.5):
+            capacity = max(4096.0 * 8, fraction * trace.footprint_bytes)
+            stats = DramCache(capacity).run_trace(
+                trace.addresses, trace.is_write, engine="event"
+            )
+            event_rates.append(1.0 - stats.hit_rate)
         assert array_rates == pytest.approx(event_rates, rel=1e-9)
 
     def test_repeat_run_hits_memsys_cache(self, result):
@@ -363,9 +377,23 @@ class TestFig9Managed:
         from repro.perf.evalcache import MemsysCache
         from repro.workloads.catalog import get_application
 
+        from repro.memsys.manager import (
+            HotnessMigrationPolicy,
+            MemoryManager,
+        )
+        from repro.workloads.traces import TraceGenerator
+
         profile = get_application("CoMD")
         fa = measured_inpackage_fraction(profile, cache=MemsysCache())
-        fe = measured_inpackage_fraction(
-            profile, engine="event", cache=MemsysCache()
+        # The driver's defaults (seed 42, 50k accesses, a quarter of the
+        # footprint in package, 4 epochs) through the scalar oracle.
+        trace = TraceGenerator(profile, seed=42).generate(50_000)
+        manager = MemoryManager(
+            max(4096.0, 0.25 * trace.footprint_bytes),
+            HotnessMigrationPolicy(),
+            4096,
         )
+        fe = manager.run_batch(
+            np.array_split(trace.addresses, 4), engine="event"
+        )[-1]
         assert fa == pytest.approx(fe, rel=1e-9)

@@ -1,8 +1,8 @@
 """The fleet layer (``repro.fleet``): link tier, specs, sharded sweeps.
 
-Covers the link tier's two-engine bit-identity and derate-only
+Covers the link tier's array/scalar agreement and derate-only
 contract, fleet spec validation and synthetic determinism, and the
-sweep engine's core guarantee: the sharded fleet sweep is bit-identical
+sweep's core guarantee: the sharded fleet sweep is bit-identical
 to the serial per-point estimate loop — cold, on a warm reused pool,
 after a worker death, and across pools sharing a spill directory.
 """
@@ -55,10 +55,6 @@ class TestLinkTier:
         with pytest.raises(ValueError):
             LinkTierParams(arbitration_overhead=-0.1)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown link engine"):
-            derate(LinkTierParams(), 0.2, engine="magic")
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             derate(LinkTierParams(), 1.5)
@@ -93,13 +89,13 @@ class TestLinkTier:
         ),
         k=st.integers(min_value=1, max_value=16),
     )
-    def test_engines_bit_identical(self, w, k):
+    def test_array_matches_scalar_calls(self, w, k):
         params = LinkTierParams()
-        w_arr = np.asarray(w, dtype=float)
-        tensor = derate(params, w_arr, k, engine="tensor")
-        point = derate(params, w_arr, k, engine="point")
-        assert np.array_equal(tensor.ext_bandwidth, point.ext_bandwidth)
-        assert np.array_equal(tensor.ext_latency, point.ext_latency)
+        batch = derate(params, np.asarray(w, dtype=float), k)
+        for i, wi in enumerate(w):
+            one = derate(params, wi, k)
+            assert batch.ext_bandwidth[i] == one.ext_bandwidth
+            assert batch.ext_latency[i] == one.ext_latency
 
     def test_derate_machine_fields(self):
         machine = MachineParams()
@@ -181,12 +177,6 @@ class TestFleetSweep:
         sharded = fleet_sweep(spec, CUS, pool=None)
         assert identical_results(serial, sharded)
 
-    def test_serial_engine_delegates(self):
-        spec = small_fleet()
-        a = fleet_sweep(spec, CUS, engine="serial")
-        b = fleet_sweep_serial(spec, CUS)
-        assert identical_results(a, b)
-
     def test_no_link_tier_matches_plain_estimate(self):
         # Without a link tier, each series point is literally
         # ExascaleSystem.estimate at the profile's external fraction.
@@ -210,8 +200,6 @@ class TestFleetSweep:
 
     def test_rejects_bad_inputs(self):
         spec = small_fleet()
-        with pytest.raises(ValueError, match="unknown fleet engine"):
-            fleet_sweep(spec, CUS, engine="magic")
         with pytest.raises(ValueError):
             fleet_sweep(spec, ())
         # Invalid CU counts are rejected eagerly, before any work ships.

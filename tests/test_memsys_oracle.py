@@ -66,10 +66,10 @@ class TestRowBufferOracle:
         n_banks, row_bytes, interleave = geometry
         rng = np.random.default_rng(1234)
         for name, stream in _streams(rng).items():
-            a = RowBufferSim(n_banks, row_bytes, interleave, engine="array")
-            b = RowBufferSim(n_banks, row_bytes, interleave, engine="event")
+            a = RowBufferSim(n_banks, row_bytes, interleave)
+            b = RowBufferSim(n_banks, row_bytes, interleave)
             sa = a.run(stream)
-            sb = b.run(stream)
+            sb = b.run(stream, engine="event")
             assert astuple(sa) == astuple(sb), name
             assert np.array_equal(a._open_row, b._open_row), name
             assert a._last_bank == b._last_bank, name
@@ -78,10 +78,12 @@ class TestRowBufferOracle:
     def test_single_bank_stream(self):
         """All accesses land in one bank: every miss after the first to
         an open row is a bank conflict."""
-        a = RowBufferSim(n_banks=1, row_bytes=64, engine="array")
-        b = RowBufferSim(n_banks=1, row_bytes=64, engine="event")
+        a = RowBufferSim(n_banks=1, row_bytes=64)
+        b = RowBufferSim(n_banks=1, row_bytes=64)
         stream = np.array([0, 0, 64, 64, 128, 0], dtype=np.int64)
-        assert astuple(a.run(stream)) == astuple(b.run(stream))
+        assert astuple(a.run(stream)) == astuple(
+            b.run(stream, engine="event")
+        )
         assert a.stats.bank_conflicts == b.stats.bank_conflicts > 0
 
     def test_all_hits_stream(self):
@@ -105,17 +107,15 @@ class TestRowBufferOracle:
         """Array chunks and scalar replay agree across chunk seams."""
         rng = np.random.default_rng(7)
         stream = _random_stream(rng, 3000, 1 << 22)
-        a = RowBufferSim(engine="array")
-        b = RowBufferSim(engine="event")
+        a = RowBufferSim()
+        b = RowBufferSim()
         for chunk in np.array_split(stream, 7):
             a.run(chunk)
-        b.run(stream)
+        b.run(stream, engine="event")
         assert astuple(a.stats) == astuple(b.stats)
         assert np.array_equal(a._open_row, b._open_row)
 
     def test_engine_selection(self):
-        with pytest.raises(ValueError):
-            RowBufferSim(engine="nope")
         sim = RowBufferSim()
         with pytest.raises(ValueError):
             sim.run(np.zeros(1, dtype=np.int64), engine="nope")
@@ -123,9 +123,9 @@ class TestRowBufferOracle:
 
     def test_negative_address_rejected(self):
         for engine in ROWBUFFER_ENGINES:
-            sim = RowBufferSim(engine=engine)
+            sim = RowBufferSim()
             with pytest.raises(ValueError):
-                sim.run(np.array([-1], dtype=np.int64))
+                sim.run(np.array([-1], dtype=np.int64), engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +138,8 @@ class TestDramCacheOracle:
         rng = np.random.default_rng(99)
         for name, stream in _streams(rng).items():
             writes = rng.random(len(stream)) < 0.3
-            a = DramCache(capacity, page, assoc, engine="array")
-            b = DramCache(capacity, page, assoc, engine="event")
+            a = DramCache(capacity, page, assoc)
+            b = DramCache(capacity, page, assoc)
             flags = a.run_trace(stream, writes)
             b.run_trace(stream, writes, engine="event")
             assert astuple(a.stats) == astuple(b.stats), name
@@ -210,8 +210,6 @@ class TestDramCacheOracle:
         assert cache.stats.accesses == 0
 
     def test_engine_selection(self):
-        with pytest.raises(ValueError):
-            DramCache(engine="nope")
         cache = DramCache()
         with pytest.raises(ValueError):
             cache.run_trace(np.zeros(1, dtype=np.int64), engine="nope")
@@ -242,12 +240,8 @@ class TestDramCacheOracle:
 # MemoryManager
 # ----------------------------------------------------------------------
 def _manager_pair(policy_factory, capacity_pages=64, page=4096, limit=None):
-    a = MemoryManager(
-        capacity_pages * page, policy_factory(limit), page, engine="array"
-    )
-    b = MemoryManager(
-        capacity_pages * page, policy_factory(limit), page, engine="event"
-    )
+    a = MemoryManager(capacity_pages * page, policy_factory(limit), page)
+    b = MemoryManager(capacity_pages * page, policy_factory(limit), page)
     return a, b
 
 
@@ -315,14 +309,12 @@ class TestManagerOracle:
 
         rng = np.random.default_rng(2)
         epoch = _random_stream(rng, 300, 1 << 14)
-        a = MemoryManager(16 * 4096, WeirdPolicy(), 4096, engine="array")
-        b = MemoryManager(16 * 4096, WeirdPolicy(), 4096, engine="event")
+        a = MemoryManager(16 * 4096, WeirdPolicy(), 4096)
+        b = MemoryManager(16 * 4096, WeirdPolicy(), 4096)
         assert a.epoch_array(epoch) == b.epoch(epoch)
         assert a.placement == b.placement
 
     def test_engine_selection(self):
-        with pytest.raises(ValueError):
-            MemoryManager(4096, FirstTouchPolicy(), engine="nope")
         manager = MemoryManager(4096, FirstTouchPolicy())
         with pytest.raises(ValueError):
             manager.run_batch([], engine="nope")

@@ -512,6 +512,7 @@ class TestManifest:
         assert doc["wall_times_s"] == {"fig7": 0.5}
         assert "sim.apu_sim" in doc["engines"]
         assert doc["engines"]["sim.apu_sim"]["default"] == "array"
+        assert doc["engines"]["thermal.grid"]["default"] == "factored"
         assert "eval" in doc["caches"]
         assert "hit_rate" in doc["caches"]["eval"]
         assert "counters" in doc["metrics"]

@@ -201,18 +201,6 @@ class TestSimCache:
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
 
-    def test_engines_cached_independently(self):
-        cache = SimCache()
-        trace = self._trace()
-        array = cache.run(trace, engine="array")
-        event = cache.run(trace, engine="event")
-        assert array is not event
-        assert cache.stats().misses == 2
-        # Same (config, trace) through each engine again: both hit.
-        assert cache.run(trace, engine="array") is array
-        assert cache.run(trace, engine="event") is event
-        assert cache.stats().hits == 2
-
     def test_config_fingerprint_differentiates(self):
         cache = SimCache()
         trace = self._trace()
@@ -355,7 +343,7 @@ class TestGeometricMeanAcross:
 
 
 class TestMemsysCache:
-    """The (geometry, address-stream, engine)-keyed memsys memo."""
+    """The (geometry, address-stream)-keyed memsys memo."""
 
     def _stream(self, n=2000, seed=4):
         rng = np.random.default_rng(seed)
@@ -371,18 +359,16 @@ class TestMemsysCache:
         assert s2 is s1
         assert cache.stats().hits == 1 and cache.stats().misses == 1
 
-    def test_engines_cached_independently_and_agree(self):
+    def test_cached_stats_match_event_oracle(self):
         from dataclasses import astuple
 
+        from repro.memsys.dramcache import DramCache
         from repro.perf.evalcache import MemsysCache
 
         cache = MemsysCache()
         addrs, writes = self._stream()
         sa = cache.dram_stats(addrs, writes, capacity_bytes=1 << 20)
-        se = cache.dram_stats(
-            addrs, writes, capacity_bytes=1 << 20, engine="event"
-        )
-        assert se is not sa
+        se = DramCache(1 << 20).run_trace(addrs, writes, engine="event")
         assert astuple(se) == astuple(sa)
 
     def test_geometry_differentiates(self):

@@ -112,6 +112,15 @@ class TestStableShard:
         shards = {stable_shard(("profile", i), 4) for i in range(64)}
         assert shards == {0, 1, 2, 3}
 
+    def test_no_shards_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_shards"):
+                stable_shard("x", n)
+        inline = ShardedPool(0)
+        assert inline.last_shard_task_counts() == []
+        with pytest.raises(ValueError, match="no shards"):
+            inline.shard_for("x")
+
 
 class TestShardedPoolBasics:
     def test_results_in_submission_order(self, pool):

@@ -328,10 +328,10 @@ class TestMemsysEngineProperties:
     @settings(max_examples=30, deadline=None)
     def test_rowbuffer_engines_agree(self, addrs, n_banks):
         stream = np.asarray(addrs, dtype=np.int64)
-        a = RowBufferSim(n_banks=n_banks, row_bytes=512, engine="array")
-        b = RowBufferSim(n_banks=n_banks, row_bytes=512, engine="event")
+        a = RowBufferSim(n_banks=n_banks, row_bytes=512)
+        b = RowBufferSim(n_banks=n_banks, row_bytes=512)
         sa = a.run(stream)
-        sb = b.run(stream)
+        sb = b.run(stream, engine="event")
         assert (sa.hits, sa.misses, sa.bank_conflicts) == (
             sb.hits,
             sb.misses,
@@ -354,8 +354,8 @@ class TestMemsysEngineProperties:
         capacity = assoc * page * data.draw(st.sampled_from([1, 4, 64]))
         stream = np.asarray(addrs, dtype=np.int64)
         wr = np.asarray(writes, dtype=bool)
-        a = DramCache(capacity, page, assoc, engine="array")
-        b = DramCache(capacity, page, assoc, engine="event")
+        a = DramCache(capacity, page, assoc)
+        b = DramCache(capacity, page, assoc)
         flags = a.access_many(stream, wr)
         expected = [b.access(int(x), bool(w)) for x, w in zip(stream, wr)]
         assert flags.tolist() == expected

@@ -460,7 +460,6 @@ class TestCachePeekSeed:
         result = ApuSimulator().run(trace)
         cache.seed_run(trace, result)
         assert cache.peek_run(trace) is result
-        assert cache.peek_run(trace, engine="event") is None  # no alias
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ these assertions use rtol=1e-9 as the contract while the implementation
 delivers equality.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -111,19 +113,25 @@ class TestOracleEquivalence:
 class TestEngineSelection:
     def test_engines_tuple(self):
         assert ENGINES == ("array", "event")
-        assert ApuSimulator().engine == "array"
+        for method in (ApuSimulator.run, ApuSimulator.run_batch):
+            default = inspect.signature(method).parameters["engine"].default
+            assert default == ENGINES[0]
 
     def test_unknown_engine_rejected(self):
+        trace = make_trace("CoMD", 10)
         with pytest.raises(ValueError, match="unknown engine"):
-            ApuSimulator(engine="fast")
+            ApuSimulator().run(trace, engine="oracle")
         with pytest.raises(ValueError, match="unknown engine"):
-            ApuSimulator().run(make_trace("CoMD", 10), engine="oracle")
+            ApuSimulator().run_batch([trace], engine="fast")
 
     def test_per_call_override(self):
+        # One instance serves both engines, call by call, with no state
+        # carried from one run into the next.
         trace = make_trace("CoMD", 2000)
-        event_default = ApuSimulator(engine="event")
-        assert_equivalent(event_default.run(trace, engine="array"),
-                          event_default.run(trace))
+        sim = ApuSimulator()
+        event = sim.run(trace, engine="event")
+        assert_equivalent(sim.run(trace), event)
+        assert_equivalent(sim.run(trace, engine="event"), event)
 
 
 class TestRunBatch:
@@ -143,10 +151,10 @@ class TestRunBatch:
         assert a == b
 
     def test_event_engine_batch(self):
-        sim = ApuSimulator(engine="event")
+        sim = ApuSimulator()
         trace = make_trace("CoMD", 1500)
-        (res,) = sim.run_batch([trace])
-        assert_equivalent(sim.run(trace, engine="array"), res)
+        (res,) = sim.run_batch([trace], engine="event")
+        assert_equivalent(sim.run(trace), res)
 
     def test_empty_trace_rejected(self):
         empty = MemoryTrace(

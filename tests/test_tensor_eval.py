@@ -9,18 +9,14 @@ the tensor-slab ``parallel_explore`` fan-out.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DesignSpace
-from repro.core.dse import (
-    ENGINES,
-    default_engine,
-    explore,
-    set_default_engine,
-)
+from repro.core.dse import ENGINES, explore
 from repro.core.node import NodeModel
 from repro.perf.evalcache import (
     EvalCache,
@@ -29,6 +25,9 @@ from repro.perf.evalcache import (
 )
 from repro.perf.parallel import parallel_explore
 from repro.perfmodel.machine import MachineParams
+from repro.power.breakdown import ExternalMemoryConfig
+from repro.power.components import PowerParams
+from repro.power.vf import VFCurve
 from repro.workloads.catalog import application_names, get_application
 from repro.workloads.kernels import (
     KernelCategory,
@@ -111,6 +110,68 @@ def _draw_space(draw) -> DesignSpace:
     )
 
 
+# Fields whose validation asks for [0, 1]; every other float field only
+# has to be positive (or non-negative) and is drawn as its default
+# scaled by 1/4..4.
+_UNIT_FIELDS = {
+    "remote_fraction_uniform",
+    "cu_idle_activity",
+    "noc_router_fraction",
+    "async_cu_dynamic_scale",
+    "async_router_dynamic_scale",
+    "link_dynamic_scale",
+}
+
+
+def _draw_fields(draw, cls, **fixed):
+    """Every field of the frozen dataclass *cls* not in *fixed*."""
+    defaults = cls(**fixed)
+    values = dict(fixed)
+    for f in dataclasses.fields(cls):
+        if f.name in fixed:
+            continue
+        if f.name in _UNIT_FIELDS:
+            values[f.name] = draw(st.floats(min_value=0.0, max_value=1.0))
+        else:
+            scale = draw(st.floats(min_value=0.25, max_value=4.0))
+            values[f.name] = getattr(defaults, f.name) * scale
+    return cls(**values)
+
+
+def _draw_model(draw) -> NodeModel:
+    """A model with every machine, power, V/f and external-memory
+    parameter drawn from the range its validation accepts."""
+    machine = _draw_fields(
+        draw,
+        MachineParams,
+        contention_exponent=draw(st.sampled_from(CONTENTION_EXPONENTS)),
+    )
+    v_ref = draw(st.floats(min_value=0.6, max_value=1.1))
+    vf = VFCurve(
+        v_ref=v_ref,
+        f_ref=draw(st.floats(min_value=0.5e9, max_value=2.0e9)),
+        slope_per_ghz=draw(st.floats(min_value=0.0, max_value=0.6)),
+        v_floor=v_ref * draw(st.floats(min_value=0.3, max_value=1.0)),
+        voltage_scale=draw(st.floats(min_value=0.5, max_value=1.5)),
+    )
+    power = _draw_fields(
+        draw,
+        PowerParams,
+        vf=vf,
+        n_dram3d_stacks=draw(st.integers(min_value=1, max_value=16)),
+        compression_enabled=draw(st.booleans()),
+    )
+    n_dram = draw(st.integers(min_value=0, max_value=32))
+    n_nvm = draw(st.integers(min_value=int(n_dram == 0), max_value=8))
+    ext = ExternalMemoryConfig(
+        n_dram_modules=n_dram,
+        n_nvm_modules=n_nvm,
+        dram_module_gb=draw(st.floats(min_value=16.0, max_value=256.0)),
+        nvm_module_gb=draw(st.floats(min_value=64.0, max_value=1024.0)),
+    )
+    return NodeModel(machine, power, ext)
+
+
 class TestProfileBatch:
     def test_from_profiles_stacks_columns(self):
         apps = [get_application(n) for n in application_names()]
@@ -166,8 +227,7 @@ class TestGridEquivalence:
         n_profiles = data.draw(st.integers(min_value=1, max_value=4))
         profiles = [_draw_profile(data.draw, i) for i in range(n_profiles)]
         space = _draw_space(data.draw)
-        exponent = data.draw(st.sampled_from(CONTENTION_EXPONENTS))
-        model = NodeModel(MachineParams(contention_exponent=exponent))
+        model = _draw_model(data.draw)
 
         grid = model.evaluate_grid(profiles, space)
         cus, freqs, bws = space.grid_arrays()
@@ -234,33 +294,22 @@ class TestGridEquivalence:
 
 class TestEngineSelection:
     def test_default_engine_is_tensor(self):
-        assert default_engine() == "tensor"
         assert ENGINES == ("tensor", "point")
-
-    def test_set_default_engine_roundtrip(self):
-        previous = set_default_engine("point")
-        try:
-            assert previous == "tensor"
-            assert default_engine() == "point"
-        finally:
-            set_default_engine(previous)
-        assert default_engine() == "tensor"
+        engine = inspect.signature(explore).parameters["engine"]
+        assert engine.default == "tensor"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_engine("magic")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown DSE engine"):
             explore([get_application("CoMD")], engine="magic")
 
     def test_explore_engine_override(self):
         profiles = [get_application("CoMD"), get_application("SNAP")]
-        previous = set_default_engine("point")
-        try:
-            by_default = explore(profiles, cache=False)
-            by_override = explore(profiles, cache=False, engine="tensor")
-        finally:
-            set_default_engine(previous)
+        by_default = explore(profiles, cache=False)
+        by_override = explore(profiles, cache=False, engine="point")
         assert by_default.best_mean_index == by_override.best_mean_index
+        assert dict(by_default.per_app_best_index) == dict(
+            by_override.per_app_best_index
+        )
 
 
 class TestGridCache:
