@@ -407,14 +407,29 @@ def check_memsys(quick: bool) -> list[str]:
     addrs, writes = trace.addresses, trace.is_write
     epochs = np.array_split(addrs, 4)
 
-    def replay(engine: str):
-        rb = RowBufferSim()
-        rb.run(addrs, engine=engine)
-        dram = []
+    # Best time per (engine, component), so a regression names its
+    # engine; the gate below still judges only the combined replay.
+    parts: dict[tuple[str, str], float] = {}
+
+    def timed(engine: str, part: str, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        dt = time.perf_counter() - t0
+        parts[engine, part] = min(parts.get((engine, part), dt), dt)
+        return out
+
+    def dram_sweep(engine: str):
+        out = []
         for capacity in capacities:
             cache = DramCache(capacity, 4096, 8)
             cache.run_trace(addrs, writes, engine=engine)
-            dram.append(astuple(cache.stats))
+            out.append(astuple(cache.stats))
+        return out
+
+    def replay(engine: str):
+        rb = RowBufferSim()
+        timed(engine, "row buffer", lambda: rb.run(addrs, engine=engine))
+        dram = timed(engine, "DRAM cache", lambda: dram_sweep(engine))
         # The "event" side drives the seed's quadratic re-sort-per-
         # eviction policy: the shipped scalar oracle now uses an
         # incremental heap (PR 5), so the seed-equivalent reference
@@ -425,7 +440,10 @@ def check_memsys(quick: bool) -> list[str]:
             else HotnessMigrationPolicy()
         )
         manager = MemoryManager(manager_capacity, policy, 4096)
-        fractions = manager.run_batch(epochs, engine=engine)
+        fractions = timed(
+            engine, "manager",
+            lambda: manager.run_batch(epochs, engine=engine),
+        )
         return astuple(rb.stats), dram, fractions
 
     array_out = replay("array")
@@ -447,6 +465,26 @@ def check_memsys(quick: bool) -> list[str]:
           f"epochs): array {t_array * 1e3:.0f} ms vs event "
           f"{t_event * 1e3:.0f} ms -> {ratio:.1f}x "
           f"(outputs identical: {identical})")
+    print("  per engine (event/array): " + ", ".join(
+        f"{part} {parts['event', part] / parts['array', part]:.1f}x"
+        for part in ("row buffer", "DRAM cache", "manager")
+    ))
+    # The DRAM cache's worst case: cyclic streams through one 8-way set
+    # whose reuse windows the array engine must count out exactly.
+    page = 4096
+    for label, n_pages in (("9-page thrash", 9), ("1000-page cycle", 1000)):
+        cyclic = (np.arange(50_000) % n_pages).astype(np.int64) * page
+        t_cyc = {
+            engine: _best_of(
+                lambda engine=engine: DramCache(8 * page, page, 8)
+                .run_trace(cyclic, engine=engine),
+                3,
+            )
+            for engine in ("array", "event")
+        }
+        print(f"  dramcache 50k {label}, one set: array "
+              f"{t_cyc['array'] * 1e3:.1f} ms vs event "
+              f"{t_cyc['event'] * 1e3:.1f} ms")
 
     failures = []
     if not identical:

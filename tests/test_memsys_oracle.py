@@ -13,7 +13,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.memsys.dramcache import DramCache
+from repro.memsys.dramcache import DramCache, DramCacheStats
 from repro.memsys.dramcache import ENGINES as DRAM_ENGINES
 from repro.memsys.manager import (
     ENGINES as MANAGER_ENGINES,
@@ -131,6 +131,43 @@ class TestRowBufferOracle:
 # ----------------------------------------------------------------------
 # DramCache
 # ----------------------------------------------------------------------
+def _lru_state(cache):
+    """Per-set ``[(tag, dirty), ...]`` in LRU->MRU order."""
+    return {s: list(ways.items()) for s, ways in cache._sets.items()}
+
+
+PAGE = 1024
+ASSOC = 8
+
+
+def _one_set(pages):
+    """Addresses of *pages* in set 0 of ``DramCache(ASSOC * PAGE * 4,
+    PAGE, ASSOC)`` (four sets), so every access contends for one set."""
+    return np.asarray(pages, dtype=np.int64) * 4 * PAGE
+
+
+def _ping_pong(n, period):
+    """Pages 0/1 alternating, with page 2 every *period* accesses: each
+    reuse of page 2 spans a long window holding only three pages."""
+    pages = np.arange(n) % 2
+    pages[period // 2::period] = 2
+    return pages
+
+
+ADVERSARIAL = {
+    # A+1 pages cycled through one A-way set: every access misses after
+    # a reuse gap of exactly A.
+    "thrash": lambda n: _one_set(np.arange(n) % (ASSOC + 1)),
+    # Long reuse windows packed with distinct pages.
+    "cycle-1000": lambda n: _one_set(np.arange(n) % 1000),
+    # Long reuse windows with few distinct pages: only the exhaustive
+    # window count can call these hits.
+    "ping-pong": lambda n: _one_set(_ping_pong(n, 1000)),
+    # Exactly A pages in every set: all hits once warm.
+    "working-set": lambda n: (np.arange(n) % (4 * ASSOC)) * PAGE,
+}
+
+
 class TestDramCacheOracle:
     @pytest.mark.parametrize("geometry", DRAM_GEOMETRIES)
     def test_equivalence_grid(self, geometry):
@@ -179,6 +216,7 @@ class TestDramCacheOracle:
             probe = int(chunk[0])
             assert a.access(probe, True) == b.access(probe, True)
         assert astuple(a.stats) == astuple(b.stats)
+        assert _lru_state(a) == _lru_state(b)
 
     def test_all_hits_stream(self):
         cache = DramCache(1 << 20, 4096, 8)
@@ -234,6 +272,90 @@ class TestDramCacheOracle:
         assert cache.resident_pages <= cache.n_sets * cache.associativity
         for ways in cache._sets.values():
             assert len(ways) <= cache.associativity
+
+    @staticmethod
+    def _adversarial_pair(warm):
+        a = DramCache(ASSOC * PAGE * 4, PAGE, ASSOC)
+        b = DramCache(ASSOC * PAGE * 4, PAGE, ASSOC)
+        if warm:
+            rng = np.random.default_rng(23)
+            stream = _random_stream(rng, 300, 64 * PAGE)
+            writes = rng.random(300) < 0.5
+            a.access_many(stream, writes)
+            b.run_trace(stream, writes, engine="event")
+        return a, b
+
+    @staticmethod
+    def _replay_both(a, b, stream, writes):
+        """Replay on both; returns the counters the stream added."""
+        before = astuple(a.stats)
+        flags = a.access_many(stream, writes)
+        expected = [
+            b.access(x, w) for x, w in zip(stream.tolist(), writes.tolist())
+        ]
+        assert flags.tolist() == expected
+        assert astuple(a.stats) == astuple(b.stats)
+        assert _lru_state(a) == _lru_state(b)
+        return DramCacheStats(
+            *(x - y for x, y in zip(astuple(a.stats), before))
+        )
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_adversarial_matches_oracle(self, name, warm):
+        """Streams built to reach the exact-residue path (long reuse
+        windows the O(1) tests cannot decide), from a cold and from a
+        pre-warmed cache."""
+        stream = ADVERSARIAL[name](5000)
+        writes = np.random.default_rng(29).random(len(stream)) < 0.3
+        a, b = self._adversarial_pair(warm)
+        stats = self._replay_both(a, b, stream, writes)
+        if name in ("thrash", "cycle-1000"):
+            assert stats.hits <= ASSOC
+        if name == "working-set":
+            assert stats.misses <= 4 * ASSOC
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_all_write_dirty_chains(self, warm):
+        """Every access writes, over a working set a little larger than
+        each set: every eviction is a writeback."""
+        rng = np.random.default_rng(31)
+        stream = _random_stream(rng, 4000, 6 * ASSOC * PAGE)
+        writes = np.ones(len(stream), dtype=bool)
+        a, b = self._adversarial_pair(warm)
+        stats = self._replay_both(a, b, stream, writes)
+        assert stats.evictions > 0
+        if not warm:  # warm-up pages may be evicted clean
+            assert stats.writebacks == stats.evictions
+
+    def test_chunked_stream_matches_whole(self):
+        """Carried state hands off exactly across batched chunks."""
+        stream = ADVERSARIAL["ping-pong"](6000)
+        writes = np.random.default_rng(37).random(len(stream)) < 0.3
+        a, b = self._adversarial_pair(False)
+        for idx in np.array_split(np.arange(len(stream)), 5):
+            a.access_many(stream[idx], writes[idx])
+        b.run_trace(stream, writes, engine="event")
+        assert astuple(a.stats) == astuple(b.stats)
+        assert _lru_state(a) == _lru_state(b)
+
+    @pytest.mark.parametrize("engine", DRAM_ENGINES)
+    def test_rejected_stream_leaves_cache_untouched(self, engine):
+        """A stream that fails validation anywhere is rejected before
+        either engine applies any of it."""
+        rng = np.random.default_rng(11)
+        cache = DramCache(1 << 16, 1024, 2)
+        cache.run_trace(_random_stream(rng, 500, 1 << 20), engine=engine)
+        stats, state = astuple(cache.stats), _lru_state(cache)
+        bad = _random_stream(rng, 100, 1 << 20)
+        bad[60] = -1
+        with pytest.raises(ValueError):
+            cache.run_trace(bad, engine=engine)
+        with pytest.raises(ValueError):
+            cache.run_trace(bad[:60], np.zeros(59, dtype=bool), engine=engine)
+        assert astuple(cache.stats) == stats
+        assert _lru_state(cache) == state
+
 
 
 # ----------------------------------------------------------------------

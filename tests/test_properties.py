@@ -341,32 +341,59 @@ class TestMemsysEngineProperties:
         assert sa.accesses == len(addrs)
 
     @given(st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_dramcache_engines_agree(self, data):
-        addrs = data.draw(self.addresses)
+        """Batched chunks with scalar probes between them, so the
+        resident state crosses the array<->dict hand-off both ways."""
+        # Narrow spans force reuse, so long windows reach the exact path.
+        span = data.draw(st.sampled_from([1 << 12, 1 << 16, 1 << 24]))
+        addrs = data.draw(
+            st.lists(st.integers(0, span), min_size=0, max_size=400)
+        )
         writes = data.draw(
             st.lists(
                 st.booleans(), min_size=len(addrs), max_size=len(addrs)
             )
         )
-        assoc = data.draw(st.sampled_from([1, 2, 8]))
+        assoc = data.draw(st.integers(min_value=1, max_value=16))
         page = data.draw(st.sampled_from([256, 4096]))
-        capacity = assoc * page * data.draw(st.sampled_from([1, 4, 64]))
+        capacity = assoc * page * data.draw(st.integers(1, 256))
         stream = np.asarray(addrs, dtype=np.int64)
         wr = np.asarray(writes, dtype=bool)
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(addrs)), max_size=4)
+            )
+        )
         a = DramCache(capacity, page, assoc)
         b = DramCache(capacity, page, assoc)
-        flags = a.access_many(stream, wr)
-        expected = [b.access(int(x), bool(w)) for x, w in zip(stream, wr)]
-        assert flags.tolist() == expected
+        probes = 0
+        for lo, hi in zip([0] + cuts, cuts + [len(addrs)]):
+            flags = a.access_many(stream[lo:hi], wr[lo:hi])
+            expected = [
+                b.access(int(x), bool(w))
+                for x, w in zip(stream[lo:hi], wr[lo:hi])
+            ]
+            assert flags.tolist() == expected
+            if hi < len(addrs):
+                probe = data.draw(st.integers(0, span))
+                is_write = data.draw(st.booleans())
+                assert a.access(probe, is_write) == b.access(
+                    probe, is_write
+                )
+                probes += 1
         assert (a.stats.hits, a.stats.misses, a.stats.evictions,
                 a.stats.writebacks) == (
             b.stats.hits, b.stats.misses, b.stats.evictions,
             b.stats.writebacks,
         )
+        # Per-set LRU order, dirty bits included.
+        assert {s: list(w.items()) for s, w in a._sets.items()} == {
+            s: list(w.items()) for s, w in b._sets.items()
+        }
         # Structural invariants: bounded occupancy, conservation.
         assert 0.0 <= a.stats.hit_rate <= 1.0
-        assert a.stats.hits + a.stats.misses == len(addrs)
+        assert a.stats.hits + a.stats.misses == len(addrs) + probes
         assert a.resident_pages <= a.n_sets * a.associativity
         for ways in a._sets.values():
             assert 0 < len(ways) <= a.associativity

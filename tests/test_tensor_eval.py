@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import DesignSpace
+from repro.core.config import DesignSpace, EHPConfig
 from repro.core.dse import ENGINES, explore
+from repro.core.exascale import ExascaleSystem
 from repro.core.node import NodeModel
 from repro.perf.evalcache import (
     EvalCache,
@@ -290,6 +291,50 @@ class TestGridEquivalence:
             via_batch.performance, via_profiles.performance
         )
         assert np.array_equal(via_batch.power, via_profiles.power)
+
+
+class TestCuSweepEquivalence:
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_estimate_loop(self, data):
+        """``cu_sweep`` (one fused grid pass) equals the per-count
+        ``estimate`` oracle over drawn machine, power and V/f
+        parameters: rtol 1e-12 and identical 1 EF / 20 MW verdicts."""
+        profile = _draw_profile(data.draw, 0)
+        model = _draw_model(data.draw)
+        system = ExascaleSystem(
+            n_nodes=data.draw(st.integers(min_value=1, max_value=200_000)),
+            model=model,
+        )
+        cus = data.draw(
+            st.lists(st.integers(min_value=1, max_value=48), min_size=1,
+                     max_size=6)
+        )
+        config = EHPConfig(
+            n_cus=8 * cus[0],
+            gpu_freq=data.draw(st.floats(min_value=0.5e9, max_value=2.0e9)),
+            bandwidth=data.draw(st.floats(min_value=0.5e12, max_value=8e12)),
+        )
+        cu_counts = [8 * c for c in cus]
+        grid = system.cu_sweep(profile, cu_counts, config)
+        point = [
+            system.estimate(profile, config.with_axes(n_cus=n))
+            for n in cu_counts
+        ]
+        for field in ("exaflops", "machine_power_mw", "node_teraflops",
+                      "node_power_w"):
+            np.testing.assert_allclose(
+                [getattr(g, field) for g in grid],
+                [getattr(p, field) for p in point],
+                rtol=1e-12,
+                err_msg=field,
+            )
+        assert [g.meets_exaflop for g in grid] == [
+            p.meets_exaflop for p in point
+        ]
+        assert [g.meets_power_envelope for g in grid] == [
+            p.meets_power_envelope for p in point
+        ]
 
 
 class TestEngineSelection:
