@@ -199,17 +199,21 @@ def run_fig9_managed(
         + list(_CATEGORIES)
         + ["Total"]
     )
+    # The replay depends on the profile, not on the external config.
+    ext_fractions = {
+        profile.name: 1.0 - measured_inpackage_fraction(
+            profile,
+            capacity_fraction=capacity_fraction,
+            cache=cache,
+        )
+        for profile in all_profiles()
+    }
     data: dict[str, dict[str, dict[str, float]]] = {}
     for ext_name, ext_config in configs.items():
         data[ext_name] = {}
         m = base_model.with_ext_config(ext_config)
         for profile in all_profiles():
-            in_pkg = measured_inpackage_fraction(
-                profile,
-                capacity_fraction=capacity_fraction,
-                cache=cache,
-            )
-            ext_fraction = 1.0 - in_pkg
+            ext_fraction = ext_fractions[profile.name]
             power = m.evaluate(
                 profile, cfg, ext_fraction=ext_fraction
             ).power

@@ -23,15 +23,18 @@ Two interchangeable engines drive the epoch loop, chosen per
     kept as the readable specification and test oracle.
 
 ``engine="array"`` (default)
-    :meth:`MemoryManager.epoch_array` ranks page access counts with
-    ``np.lexsort`` (descending count, ascending page — exactly the
-    order Python's stable ``sorted`` produces over the ascending
-    ``np.unique`` keys), computes promotions and the full eviction
-    order as vectorized top-k selections, and replays only the short
-    promote/evict tail as a loop. Placement updates are applied as
-    deltas to the shared ``placement`` dict, so the two engines can be
-    freely interleaved and produce identical placements, hit fractions,
-    and migration counts.
+    :meth:`MemoryManager.epoch_array` keeps the placement as two
+    aligned arrays — the sorted known pages and an in-package flag per
+    page — and runs each epoch as whole-array numpy work: ``np.unique``
+    counts, ``searchsorted`` residency, ``np.insert`` of new pages,
+    hotness ranking by ``np.lexsort`` (descending count, ascending page
+    — exactly the order Python's stable ``sorted`` produces over the
+    ascending ``np.unique`` keys), and the scalar promote/evict loop in
+    closed form: promotions fill the free room, then each evicts the
+    next victim in ``(count, page)`` order until the victims run out.
+    The ``placement`` dict is built from the arrays on demand, so the
+    two engines can be freely interleaved and produce identical
+    placements, hit fractions, and migration counts.
 """
 
 from __future__ import annotations
@@ -217,172 +220,170 @@ class MemoryManager:
         self.capacity_pages = int(capacity_bytes // page_size)
         self.page_size = page_size
         self.policy = policy
-        self.placement: dict[int, MemoryLevel] = {}
         self.total_migrated = 0
-        # Resident-page mirror for the array engine; None means stale
-        # (the scalar path replaced `placement` wholesale) and it is
-        # rebuilt lazily on the next array epoch.
-        self._resident: set[int] | None = set()
+        # The placement lives in exactly one of two forms: a page ->
+        # level dict for the scalar path, or (sorted known pages,
+        # aligned in-package flags) arrays for the array engine.
+        self._levels: dict[int, MemoryLevel] | None = None
+        self._pages: tuple[np.ndarray, np.ndarray] | None = (
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=bool),
+        )
+
+    @property
+    def placement(self) -> dict[int, MemoryLevel]:
+        """Page -> level for every page seen so far.
+
+        Built on first use from the arrays an array epoch left; the
+        returned dict is then the live state until the next array epoch.
+        """
+        if self._levels is None:
+            pages, in_package = self._pages
+            level = (MemoryLevel.EXTERNAL, MemoryLevel.IN_PACKAGE)
+            self._levels = dict(
+                zip(pages.tolist(), [level[f] for f in in_package.tolist()])
+            )
+            self._pages = None
+        return self._levels
+
+    @placement.setter
+    def placement(self, levels: Mapping[int, MemoryLevel]) -> None:
+        self._levels = dict(levels)
+        self._pages = None
+
+    def _take_pages(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (sorted pages, in-package flags) arrays, converting from
+        the dict when the scalar path holds the state."""
+        if self._pages is None:
+            levels = self._levels
+            pages = np.fromiter(levels, np.int64, len(levels))
+            in_package = np.fromiter(
+                (lvl is MemoryLevel.IN_PACKAGE for lvl in levels.values()),
+                bool,
+                len(levels),
+            )
+            order = np.argsort(pages)
+            self._pages = (pages[order], in_package[order])
+            self._levels = None
+        return self._pages
+
+    @staticmethod
+    def _check_addresses(addresses) -> np.ndarray:
+        """Validate one whole epoch before either engine mutates state."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.size and int(addresses.min()) < 0:
+            raise ValueError("address must be non-negative")
+        return addresses
 
     def epoch(self, addresses: np.ndarray) -> float:
         """Process one epoch of accesses; returns the fraction of them
         served in-package *under the placement in force during the
         epoch* (migration takes effect for the next epoch)."""
-        addresses = np.asarray(addresses, dtype=np.int64)
+        addresses = self._check_addresses(addresses)
         if addresses.size == 0:
             return 1.0
         pages = addresses // self.page_size
         unique, counts = np.unique(pages, return_counts=True)
         access_counts = dict(zip(unique.tolist(), counts.tolist()))
+        current = self.placement
 
         served_in = sum(
             int(c)
             for p, c in access_counts.items()
-            if self.placement.get(p) is MemoryLevel.IN_PACKAGE
+            if current.get(p) is MemoryLevel.IN_PACKAGE
         )
         hit_fraction = served_in / int(counts.sum())
 
         result = self.policy.place(
-            access_counts, self.placement, self.capacity_pages
+            access_counts, current, self.capacity_pages
         )
-        self.placement = dict(result.level_of_page)
+        self.placement = result.level_of_page
         self.total_migrated += result.migrated_pages
-        self._resident = None
         return hit_fraction
 
     # ------------------------------------------------------------------
     # Array fast path
     # ------------------------------------------------------------------
-    def _resident_set(self) -> set[int]:
-        if self._resident is None:
-            self._resident = {
-                p
-                for p, lvl in self.placement.items()
-                if lvl is MemoryLevel.IN_PACKAGE
-            }
-        return self._resident
-
     def epoch_array(self, addresses: np.ndarray) -> float:
         """Vectorized :meth:`epoch`: identical placements, hit
-        fractions, and migration counts, computed with array top-k
-        ranking instead of per-page dict loops.
+        fractions, and migration counts, computed as whole-epoch array
+        operations over the sorted page state.
 
         Policies without a vectorized path fall back to the scalar
         :meth:`epoch` (exact policy types only, so subclasses that
         override ``place`` keep their semantics).
         """
         policy_type = type(self.policy)
-        if policy_type is HotnessMigrationPolicy:
-            return self._epoch_array_hotness(addresses)
-        if policy_type is FirstTouchPolicy:
-            return self._epoch_array_first_touch(addresses)
-        return self.epoch(addresses)
-
-    def _epoch_prolog(self, addresses):
-        """Shared epoch setup: unique page counts, residency mask over
-        the epoch's pages, and the served-in-package fraction."""
-        addresses = np.asarray(addresses, dtype=np.int64)
+        if policy_type not in (HotnessMigrationPolicy, FirstTouchPolicy):
+            return self.epoch(addresses)
+        addresses = self._check_addresses(addresses)
         if addresses.size == 0:
-            return None
-        pages = addresses // self.page_size
-        unique, counts = np.unique(pages, return_counts=True)
-        unique_list = unique.tolist()
-        n_unique = len(unique_list)
-        get = self.placement.get
-        known = np.fromiter(
-            (get(p) is not None for p in unique_list), bool, n_unique
-        )
-        resident = self._resident_set()
-        resident_mask = np.fromiter(
-            (p in resident for p in unique_list), bool, n_unique
-        )
-        served_in = int(counts[resident_mask].sum())
-        hit_fraction = served_in / int(counts.sum())
-        return unique, counts, unique_list, known, resident_mask, hit_fraction
-
-    def _epoch_array_first_touch(self, addresses) -> float:
-        prolog = self._epoch_prolog(addresses)
-        if prolog is None:
             return 1.0
-        unique, counts, unique_list, known, resident_mask, hit_fraction = (
-            prolog
+        unique, counts = np.unique(
+            addresses // self.page_size, return_counts=True
         )
-        resident = self._resident_set()
-        new_pages = unique[~known].tolist()
-        room = max(0, self.capacity_pages - len(resident))
-        take = min(room, len(new_pages))
-        levels = [MemoryLevel.IN_PACKAGE] * take + [
-            MemoryLevel.EXTERNAL
-        ] * (len(new_pages) - take)
-        self.placement.update(zip(new_pages, levels))
-        resident.update(new_pages[:take])
-        return hit_fraction
-
-    def _epoch_array_hotness(self, addresses) -> float:
-        prolog = self._epoch_prolog(addresses)
-        if prolog is None:
-            return 1.0
-        unique, counts, unique_list, known, resident_mask, hit_fraction = (
-            prolog
-        )
-        resident = self._resident_set()
-        placement = self.placement
+        pages, in_package = self._take_pages()
         capacity = self.capacity_pages
 
-        # New pages default to external before migration (the scalar
-        # path's setdefault sweep), in the same ascending-page order.
-        new_pages = unique[~known].tolist()
-        placement.update(
-            zip(new_pages, (MemoryLevel.EXTERNAL,) * len(new_pages))
-        )
+        # Where each epoch page sits (or would be inserted) in the
+        # known-page array, and which of them are known / resident.
+        pos = np.searchsorted(pages, unique)
+        known = pos < len(pages)
+        known[known] = pages[pos[known]] == unique[known]
+        resident = np.zeros(len(unique), dtype=bool)
+        resident[known] = in_package[pos[known]]
+        hit_fraction = int(counts[resident].sum()) / int(counts.sum())
+        n_resident = int(np.count_nonzero(in_package))
+
+        # New pages join the sorted state in ascending order: external
+        # for hotness (the scalar setdefault sweep), first-touch fills
+        # them in-package up to the free room.
+        new = ~known
+        if new.any():
+            new_in = np.zeros(int(np.count_nonzero(new)), dtype=bool)
+            if policy_type is FirstTouchPolicy:
+                new_in[: max(0, capacity - n_resident)] = True
+            pages = np.insert(pages, pos[new], unique[new])
+            in_package = np.insert(in_package, pos[new], new_in)
+            self._pages = (pages, in_package)
+        if policy_type is FirstTouchPolicy:
+            return hit_fraction
 
         # Rank by descending count, ascending page: np.lexsort's last
         # key is primary, and negating counts plus the ascending page
         # tiebreak reproduces the stable scalar sort exactly.
-        order = np.lexsort((unique, -counts))
-        top = order[:capacity]
-        to_promote = unique[top[~resident_mask[top]]].tolist()
+        where = np.searchsorted(pages, unique)
+        wanted = where[np.lexsort((unique, -counts))[:capacity]]
+        to_promote = wanted[~in_package[wanted]]
         limit = self.policy.migration_limit
         if limit is not None:
             to_promote = to_promote[:limit]
 
-        # Eviction candidates: resident pages outside the wanted set,
-        # orderable once up front because promotions only ever add
-        # wanted pages (never new candidates) and the count ranking is
-        # fixed for the epoch.
-        migrated = 0
-        if to_promote:
-            want_in = set(unique[top].tolist())
-            cands = np.fromiter(
-                (p for p in resident if p not in want_in),
-                np.int64,
-            )
-            if cands.size:
-                idx = np.searchsorted(unique, cands)
-                idx[idx >= len(unique_list)] = 0
-                found = unique[idx] == cands
-                cand_counts = np.where(found, counts[idx], 0)
-                victims = cands[np.lexsort((cands, cand_counts))].tolist()
-            else:
-                victims = []
-            vi = 0
-            n_resident = len(resident)
-            in_package = MemoryLevel.IN_PACKAGE
-            external = MemoryLevel.EXTERNAL
-            for page in to_promote:
-                if n_resident >= capacity:
-                    if vi >= len(victims):
-                        break
-                    victim = victims[vi]
-                    vi += 1
-                    placement[victim] = external
-                    resident.discard(victim)
-                    n_resident -= 1
-                placement[page] = in_package
-                resident.add(page)
-                n_resident += 1
-                migrated += 1
-        self.total_migrated += migrated
+        # Promotions fill the free room first; each one past it evicts
+        # the coldest resident page outside the wanted set, by (count,
+        # page). Promotions only add wanted pages, so the victim order
+        # is fixed for the epoch and the scalar loop's outcome is a
+        # prefix of each list.
+        free = max(0, capacity - n_resident)
+        n_promote = len(to_promote)
+        if n_promote > free:
+            evictable = in_package.copy()
+            evictable[wanted] = False
+            victims = np.flatnonzero(evictable)
+            epoch_counts = np.zeros(len(pages), dtype=np.int64)
+            epoch_counts[where] = counts
+            # flatnonzero is ascending in page, so a stable sort on the
+            # count alone keeps the page tie-break.
+            victims = victims[
+                np.argsort(epoch_counts[victims], kind="stable")
+            ]
+            # The scalar loop's break on an empty victim list; it never
+            # binds, as every wanted page outside the DRAM leaves a
+            # resident page outside the wanted set.
+            n_promote = min(n_promote, free + len(victims))
+            in_package[victims[: n_promote - free]] = False
+        in_package[to_promote[:n_promote]] = True
+        self.total_migrated += n_promote
         return hit_fraction
 
     def run_batch(
@@ -392,10 +393,12 @@ class MemoryManager:
         state; returns per-epoch in-package fractions.
 
         ``engine="array"`` (vectorized epochs) or ``"event"`` (the
-        scalar oracle).
+        scalar oracle). Every epoch is validated first, so a rejected
+        batch leaves the manager untouched on both engines.
         """
         check_engine(engine, ENGINES)
-        total = sum(int(np.asarray(e).size) for e in epochs)
+        epochs = [self._check_addresses(e) for e in epochs]
+        total = sum(e.size for e in epochs)
         with obs_trace.span(
             "manager.run_batch", engine=engine, epochs=len(epochs),
             accesses=total,
@@ -417,9 +420,11 @@ class MemoryManager:
     @property
     def resident_pages(self) -> int:
         """Pages currently in in-package DRAM."""
+        if self._pages is not None:
+            return int(np.count_nonzero(self._pages[1]))
         return sum(
             1
-            for lvl in self.placement.values()
+            for lvl in self._levels.values()
             if lvl is MemoryLevel.IN_PACKAGE
         )
 
