@@ -65,27 +65,36 @@ artifact (compact or legacy pretty format) and exits.
 
 from __future__ import annotations
 
-import argparse
-import heapq
-import itertools
-import sys
-import time
+import os
 
-import numpy as np
-from scipy.sparse.linalg import spsolve
+# One BLAS/OpenMP thread, set before numpy loads: on a small host a
+# multi-threaded BLAS in the multi-RHS substitutions contends with the
+# measuring process and swings the thermal ratios by an order of
+# magnitude between runs.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
-from repro.memsys.dramcache import DramCache
-from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
-from repro.memsys.rowbuffer import RowBufferSim
-from repro.noc.routing import route
-from repro.noc.simulator import LinkStats, NocSimulator, SimMessage
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.perf.evalcache import MemsysCache
-from repro.sim.apu_sim import ApuSimulator
-from repro.thermal.grid import ThermalGrid
-from repro.util.benchjson import load_summary
-from repro.workloads.calibration import default_calibration_trace
+import argparse  # noqa: E402
+import heapq  # noqa: E402
+import itertools  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+from scipy.sparse.linalg import spsolve  # noqa: E402
+
+from repro.memsys.dramcache import DramCache  # noqa: E402
+from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager  # noqa: E402
+from repro.memsys.rowbuffer import RowBufferSim  # noqa: E402
+from repro.noc.routing import route  # noqa: E402
+from repro.noc.simulator import LinkStats, NocSimulator, SimMessage  # noqa: E402
+from repro.obs import metrics as obs_metrics  # noqa: E402
+from repro.obs import trace as obs_trace  # noqa: E402
+from repro.perf.evalcache import MemsysCache  # noqa: E402
+from repro.sim.apu_sim import ApuSimulator  # noqa: E402
+from repro.thermal.grid import ThermalGrid  # noqa: E402
+from repro.util.benchjson import load_summary  # noqa: E402
+from repro.workloads.calibration import default_calibration_trace  # noqa: E402
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -263,7 +272,8 @@ def check_thermal_transient(quick: bool) -> list[str]:
     print(f"thermal transient {report.cells} cells: "
           f"{report.steps_per_s:.0f} steps/s factored vs "
           f"{report.oracle_steps / report.oracle_s:.0f} oracle -> "
-          f"{report.speedup:.1f}x (converge err {report.converge_err_c:.2e}, "
+          f"{report.speedup:.1f}x (factor L+U nnz {report.factor_nnz}, "
+          f"converge err {report.converge_err_c:.2e}, "
           f"step err {report.oracle_step_err_c:.2e}, batched identical: "
           f"{report.batch_identical})")
     print(f"thermal loop: governed peak {g.max_peak_dram_c:.1f} C / "
@@ -1253,6 +1263,8 @@ def main(argv: list[str] | None = None) -> int:
 
     from contextlib import nullcontext
 
+    print(f"BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}, "
+          f"OpenMP threads {os.environ['OMP_NUM_THREADS']} (pinned)")
     failures: list[str] = []
     wall_times: dict[str, float] = {}
     t_start = time.perf_counter()

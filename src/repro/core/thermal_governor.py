@@ -296,8 +296,8 @@ class ThermalGovernor:
         dram = self.thermal.stack.layer_index("dram")
         feedback_at = self.limit_c - self.feedback_margin_c
 
-        times: list[float] = []
-        peaks: list[float] = []
+        time_chunks: list[np.ndarray] = []
+        peak_chunks: list[np.ndarray] = []
         events: list[ThrottleEvent] = []
         phase_configs: list[tuple[str, EHPConfig]] = []
         energy = 0.0
@@ -326,18 +326,19 @@ class ThermalGovernor:
                 remaining = solver.steps_for(phase.duration_s)
                 while remaining > 0:
                     n = min(self.control_every, remaining)
-                    for _ in range(n):
-                        temps = solver.step(temps, maps)
-                        t += solver.dt
-                        times.append(t)
-                        peaks.append(float(temps[dram].max()))
+                    tick = solver.hold(temps, maps, n, t0=t)
+                    temps = tick.final.celsius
+                    t = float(tick.times[-1])
+                    peak = float(tick.layer_peak_c[-1])
+                    time_chunks.append(tick.times)
+                    peak_chunks.append(tick.layer_peak_c)
                     remaining -= n
                     energy += float(ev.node_power) * n * solver.dt
                     work += float(ev.performance) * n * solver.dt
                     if (
                         controlled
                         and remaining > 0
-                        and peaks[-1] > feedback_at
+                        and peak > feedback_at
                     ):
                         lower = self._next_down(active)
                         if lower is not None:
@@ -346,20 +347,22 @@ class ThermalGovernor:
                                 time_s=t,
                                 phase=phase.profile.name,
                                 kind="feedback",
-                                peak_dram_c=peaks[-1],
+                                peak_dram_c=peak,
                                 gpu_freq=active.gpu_freq,
                                 n_cus=active.n_cus,
                             ))
                             ev = self.model.evaluate(phase.profile, active)
                             maps = self.thermal.build_power_maps(ev.power)
                 phase_configs.append((phase.profile.name, active))
-        obs_metrics.inc("thermal.steps", len(times))
+        times = np.concatenate(time_chunks)
+        peaks = np.concatenate(peak_chunks)
+        obs_metrics.inc("thermal.steps", times.size)
         obs_metrics.inc("thermal.throttle_events", len(events))
-        obs_metrics.set_gauge("thermal.peak_c", max(peaks))
+        obs_metrics.set_gauge("thermal.peak_c", float(peaks.max()))
         return ThermalLoopResult(
             controlled=controlled,
-            times=np.asarray(times),
-            peak_dram_c=np.asarray(peaks),
+            times=times,
+            peak_dram_c=peaks,
             throttle_events=tuple(events),
             phase_configs=tuple(phase_configs),
             energy_j=energy,

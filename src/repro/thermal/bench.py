@@ -54,6 +54,8 @@ class ThermalLoopBenchReport:
     oracle_steps: int
     oracle_s: float
     factorization_s: float
+    factor_nnz: int
+    """L+U nonzeros of the cached transient factor."""
     steps_per_s: float
     speedup: float
     converge_err_c: float
@@ -70,7 +72,7 @@ class ThermalLoopBenchReport:
             for k in (
                 "cells", "dt_s", "factored_steps", "factored_s",
                 "oracle_steps", "oracle_s", "factorization_s",
-                "steps_per_s", "speedup", "converge_err_c",
+                "factor_nnz", "steps_per_s", "speedup", "converge_err_c",
                 "converge_steps", "oracle_step_err_c", "batch_identical",
             )
         }
@@ -87,7 +89,8 @@ class ThermalLoopBenchReport:
             f"  factored      {self.factored_steps} steps in "
             f"{self.factored_s * 1e3:.1f} ms "
             f"({self.steps_per_s:.0f} steps/s; one-time factorization "
-            f"{self.factorization_s * 1e3:.1f} ms)",
+            f"{self.factorization_s * 1e3:.1f} ms, "
+            f"{self.factor_nnz} L+U nonzeros)",
             f"  oracle        {self.oracle_steps} steps in "
             f"{self.oracle_s * 1e3:.1f} ms "
             f"({self.oracle_steps / self.oracle_s:.0f} steps/s)",
@@ -145,7 +148,7 @@ def run_thermal_loop_bench(
     solver = TransientSolver(grid, dt=dt)
     temps = solver.initial_temps()
     t0 = time.perf_counter()
-    grid._ensure_transient_factor(dt)
+    factor, _ = grid._ensure_transient_factor(dt)
     factorization_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     for _ in range(factored_steps):
@@ -203,6 +206,7 @@ def run_thermal_loop_bench(
         oracle_steps=oracle_steps,
         oracle_s=oracle_s,
         factorization_s=factorization_s,
+        factor_nnz=factor.L.nnz + factor.U.nnz,
         steps_per_s=factored_steps / factored_s,
         speedup=speedup,
         converge_err_c=converge_err_c,

@@ -9,8 +9,10 @@ thermal mass. This module drives
 schedules:
 
 * :class:`PowerPhase` — one power map held for a duration.
-* :class:`TransientSolver` — backward-Euler integration of a phase
-  schedule (:meth:`TransientSolver.run`), S scenarios in lockstep
+* :class:`TransientSolver` — backward-Euler integration: one map held
+  for n steps (:meth:`TransientSolver.hold`, the single stepping loop
+  every single-scenario driver shares), a phase schedule
+  (:meth:`TransientSolver.run`), S scenarios in lockstep
   through one multi-RHS substitution per step
   (:meth:`TransientSolver.run_many`), and steady-state convergence
   (:meth:`TransientSolver.converge`) — the bridge the equivalence test
@@ -142,13 +144,55 @@ class TransientSolver:
             temps, power_maps, self.dt, engine=self.engine
         )
 
-    def _peaks(self, temps: np.ndarray) -> tuple[float, float]:
-        peak = float(temps.max())
-        if self._watch_index is None:
-            return peak, peak
-        return peak, float(temps[self._watch_index].max())
-
     # ------------------------------------------------------------------
+    def hold(
+        self,
+        temps: np.ndarray,
+        power_maps: np.ndarray,
+        n: int,
+        t0: float = 0.0,
+    ) -> TransientTrace:
+        """Hold one power map for *n* steps from *temps*.
+
+        The one per-step loop every single-scenario integration
+        (:meth:`run`, :class:`ThermalMonitor`, the thermal governor)
+        goes through. Inputs are validated and ``P + G_b T_amb`` is
+        built once; each step is then one substitution plus the peak
+        bookkeeping, bit-identical to *n* :meth:`step` calls. Step
+        times continue from *t0* by repeated ``+= dt``.
+        """
+        n = int(n)
+        if n <= 0:
+            raise ValueError("n must be positive")
+        grid = self.grid
+        temps, power_maps = grid._validate_step(
+            temps, power_maps, self.dt, self.engine, ndim=3
+        )
+        rhs_const = grid._rhs(power_maps)
+        solve, c_over_dt = grid._stepper(self.dt, self.engine)
+        li = self._watch_index
+        plane = grid.ny * grid.nx
+        watched = (
+            slice(None) if li is None else slice(li * plane, (li + 1) * plane)
+        )
+        times = np.empty(n)
+        peaks = np.empty(n)
+        layer_peaks = np.empty(n)
+        x = temps.ravel()
+        t = float(t0)
+        for k in range(n):
+            x = solve(c_over_dt * x + rhs_const)
+            t += self.dt
+            times[k] = t
+            peaks[k] = x.max()
+            layer_peaks[k] = x[watched].max()
+        return TransientTrace(
+            times=times,
+            peak_c=peaks,
+            layer_peak_c=layer_peaks,
+            final=grid._field(x),
+        )
+
     def run(
         self,
         phases: Sequence[PowerPhase],
@@ -159,35 +203,31 @@ class TransientSolver:
             raise ValueError("phase schedule must not be empty")
         if temps is None:
             temps = self.initial_temps()
-        temps = np.asarray(temps, dtype=float)
-        times: list[float] = []
-        peaks: list[float] = []
-        layer_peaks: list[float] = []
+        traces: list[TransientTrace] = []
         t = 0.0
         with obs_trace.span(
             "thermal.transient", cells=self.grid.n_cells,
             phases=len(phases),
         ), obs_metrics.timed("thermal.transient_seconds"):
             for phase in phases:
-                for _ in range(self.steps_for(phase.duration_s)):
-                    temps = self.step(temps, phase.power_maps)
-                    t += self.dt
-                    peak, layer_peak = self._peaks(temps)
-                    times.append(t)
-                    peaks.append(peak)
-                    layer_peaks.append(layer_peak)
-        obs_metrics.inc("thermal.steps", len(times))
-        obs_metrics.set_gauge("thermal.peak_c", peaks[-1])
+                trace = self.hold(
+                    temps, phase.power_maps,
+                    self.steps_for(phase.duration_s), t0=t,
+                )
+                temps = trace.final.celsius
+                t = float(trace.times[-1])
+                traces.append(trace)
+        times = np.concatenate([tr.times for tr in traces])
+        peaks = np.concatenate([tr.peak_c for tr in traces])
+        obs_metrics.inc("thermal.steps", times.size)
+        obs_metrics.set_gauge("thermal.peak_c", float(peaks[-1]))
         return TransientTrace(
-            times=np.asarray(times),
-            peak_c=np.asarray(peaks),
-            layer_peak_c=np.asarray(layer_peaks),
-            final=TemperatureField(
-                celsius=temps,
-                layer_names=tuple(
-                    l.name for l in self.grid.stack.layers
-                ),
+            times=times,
+            peak_c=peaks,
+            layer_peak_c=np.concatenate(
+                [tr.layer_peak_c for tr in traces]
             ),
+            final=traces[-1].final,
         )
 
     def run_many(
@@ -274,15 +314,7 @@ class TransientSolver:
                 if moved <= tol_c:
                     break
         obs_metrics.inc("thermal.steps", steps)
-        return (
-            TemperatureField(
-                celsius=temps,
-                layer_names=tuple(
-                    l.name for l in self.grid.stack.layers
-                ),
-            ),
-            steps,
-        )
+        return self.grid._field(temps), steps
 
 
 class ThermalMonitor:
@@ -311,7 +343,7 @@ class ThermalMonitor:
         )
         if power_maps is None:
             power_maps = np.zeros(shape)
-        self.power_maps = np.asarray(power_maps, dtype=float)
+        self.set_power(power_maps)
         self.clock = clock
         self.max_steps_per_advance = int(max_steps_per_advance)
         self.temps = solver.initial_temps()
@@ -320,8 +352,18 @@ class ThermalMonitor:
         self.layer_peak_c = self.peak_c
 
     def set_power(self, power_maps: np.ndarray) -> None:
-        """Swap in the power map subsequent steps integrate."""
-        self.power_maps = np.asarray(power_maps, dtype=float)
+        """Swap in the power map subsequent steps integrate.
+
+        Validated here, so a bad map fails its caller rather than a
+        later :meth:`advance` (which a service runs in its drain loop).
+        """
+        power_maps = self.solver.grid._validate_maps(power_maps)
+        if power_maps.ndim != 3:
+            raise ValueError(
+                f"monitor takes one (n_layers, ny, nx) power map, got "
+                f"shape {power_maps.shape}"
+            )
+        self.power_maps = power_maps
 
     def advance(self, now: float | None = None) -> float:
         """Step the model up to *now* (default: the monitor's clock).
@@ -339,10 +381,11 @@ class ThermalMonitor:
             # not a ledger, and a bounded catch-up keeps advance() cheap.
             self._last = now - self.max_steps_per_advance * self.solver.dt
             steps = self.max_steps_per_advance
-        for _ in range(steps):
-            self.temps = self.solver.step(self.temps, self.power_maps)
+        trace = self.solver.hold(self.temps, self.power_maps, steps)
+        self.temps = trace.final.celsius
         self._last += steps * self.solver.dt
-        peak, layer_peak = self.solver._peaks(self.temps)
+        peak = float(trace.peak_c[-1])
+        layer_peak = float(trace.layer_peak_c[-1])
         self.peak_c = peak
         self.layer_peak_c = layer_peak
         obs_metrics.inc("thermal.steps", steps)

@@ -5,6 +5,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from repro.core.config import EHPConfig, PAPER_BEST_MEAN
 from repro.core.node import NodeModel
@@ -108,6 +109,95 @@ class TestStepTransient:
         empty = np.empty((0, grid.stack.n_layers, grid.ny, grid.nx))
         out = grid.step_transient_many(empty, empty, 0.01)
         assert out.shape == empty.shape
+
+
+class TestFactorOrdering:
+    def test_transient_factor_uses_symmetric_fill_reducing_ordering(self):
+        # Fig. 10's 66x22 grid: the SPD step operator factored with a
+        # minimum-degree ordering of A + A^T and no pivoting has about
+        # half the L+U fill of splu's default COLAMD ordering (248,120
+        # vs 457,800), and the per-step substitution cost scales with it.
+        grid = ThermalModel().grid
+        factor, _ = grid._ensure_transient_factor(0.01)
+        operator, _ = grid._transient_system(0.01)
+        default = splu(operator)
+        fill = factor.L.nnz + factor.U.nnz
+        assert fill <= 0.6 * (default.L.nnz + default.U.nnz)
+
+
+class TestNonFiniteInputs:
+    """A NaN compares False against every bound, so one bad cell used to
+    pass validation and turn the whole solved field NaN. Every entry
+    point rejects it before assembling or factorizing anything."""
+
+    @staticmethod
+    def poisoned(a: np.ndarray, bad: float) -> np.ndarray:
+        a = np.array(a, dtype=float)
+        a.flat[a.size // 2] = bad
+        return a
+
+    @staticmethod
+    def assert_untouched(grid: ThermalGrid) -> None:
+        assert grid._system is None
+        assert not grid.factorization_cached
+        assert not grid._transient
+
+    @pytest.fixture
+    def fresh(self):
+        return ThermalGrid(66.0, 22.0, nx=22, ny=8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_and_solve_batch(self, fresh, maps, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fresh.solve(self.poisoned(maps, bad))
+        batch = np.stack([maps, self.poisoned(maps, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            fresh.solve_batch(batch)
+        self.assert_untouched(fresh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_step_transient_power(self, fresh, maps, bad):
+        temps = np.full(maps.shape, fresh.stack.ambient_c)
+        for engine in STEP_ENGINES:
+            with pytest.raises(ValueError, match="finite"):
+                fresh.step_transient(
+                    temps, self.poisoned(maps, bad), 0.01, engine=engine
+                )
+        self.assert_untouched(fresh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_step_transient_temps(self, fresh, maps, bad):
+        temps = np.full(maps.shape, fresh.stack.ambient_c)
+        for engine in STEP_ENGINES:
+            with pytest.raises(ValueError, match="finite"):
+                fresh.step_transient(
+                    self.poisoned(temps, bad), maps, 0.01, engine=engine
+                )
+        self.assert_untouched(fresh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_step_transient_many(self, fresh, maps, bad):
+        batch = np.stack([maps, maps * 0.5])
+        temps = np.full(batch.shape, fresh.stack.ambient_c)
+        with pytest.raises(ValueError, match="finite"):
+            fresh.step_transient_many(
+                temps, self.poisoned(batch, bad), 0.01
+            )
+        with pytest.raises(ValueError, match="finite"):
+            fresh.step_transient_many(
+                self.poisoned(temps, bad), batch, 0.01
+            )
+        self.assert_untouched(fresh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_hold(self, fresh, maps, bad):
+        solver = TransientSolver(fresh, dt=0.01)
+        temps = solver.initial_temps()
+        with pytest.raises(ValueError, match="finite"):
+            solver.hold(temps, self.poisoned(maps, bad), 5)
+        with pytest.raises(ValueError, match="finite"):
+            solver.hold(self.poisoned(temps, bad), maps, 5)
+        self.assert_untouched(fresh)
 
 
 class TestSolveBatch:
@@ -224,6 +314,66 @@ class TestTransientSolver:
             solver.run_many(np.repeat(batch[:, None], 3, axis=1), 4)
 
 
+class TestHold:
+    @pytest.mark.parametrize("watch", ["dram", None])
+    @pytest.mark.parametrize("engine", STEP_ENGINES)
+    def test_bit_identical_to_single_steps(self, grid, maps, watch, engine):
+        solver = TransientSolver(
+            grid, dt=0.01, engine=engine, watch_layer=watch
+        )
+        start = solver.initial_temps() + 3.0
+        trace = solver.hold(start, maps, 7, t0=1.25)
+        temps, t = start, 1.25
+        for k in range(7):
+            temps = solver.step(temps, maps)
+            t += 0.01
+            assert trace.times[k] == t
+            assert trace.peak_c[k] == temps.max()
+            watched = (
+                temps if watch is None
+                else temps[grid.stack.layer_index(watch)]
+            )
+            assert trace.layer_peak_c[k] == watched.max()
+        assert np.array_equal(trace.final.celsius, temps)
+        assert trace.final.layer_names == tuple(
+            l.name for l in grid.stack.layers
+        )
+
+    def test_leaves_input_untouched(self, grid, maps):
+        solver = TransientSolver(grid, dt=0.01)
+        start = solver.initial_temps()
+        before = start.copy()
+        solver.hold(start, maps, 3)
+        assert np.array_equal(start, before)
+
+    def test_validation(self, grid, maps):
+        solver = TransientSolver(grid, dt=0.01)
+        temps = solver.initial_temps()
+        for n in (0, -2):
+            with pytest.raises(ValueError):
+                solver.hold(temps, maps, n)
+        with pytest.raises(ValueError):
+            solver.hold(temps, maps[:, :4], 3)
+        with pytest.raises(ValueError):
+            solver.hold(temps, -maps, 3)
+
+    def test_run_is_holds_end_to_end(self, grid, maps):
+        solver = TransientSolver(grid, dt=0.01)
+        trace = solver.run([
+            PowerPhase(maps, 0.04), PowerPhase(maps * 0.2, 0.03),
+        ])
+        temps, t = solver.initial_temps(), 0.0
+        peaks = []
+        for phase_maps, steps in ((maps, 4), (maps * 0.2, 3)):
+            for _ in range(steps):
+                temps = solver.step(temps, phase_maps)
+                t += 0.01
+                peaks.append(temps[grid.stack.layer_index("dram")].max())
+        assert trace.times[-1] == t
+        assert np.array_equal(trace.layer_peak_c, peaks)
+        assert np.array_equal(trace.final.celsius, temps)
+
+
 class TestThermalMonitor:
     def test_fake_clock_stepping_is_deterministic(self, grid, maps):
         now = [100.0]
@@ -256,6 +406,19 @@ class TestThermalMonitor:
         for _ in range(8):
             expected = solver.step(expected, maps)
         assert np.array_equal(monitor.temps, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_set_power_rejects_bad_maps(self, grid, maps, bad):
+        solver = TransientSolver(grid, dt=0.01)
+        monitor = ThermalMonitor(solver, maps, clock=lambda: 0.0)
+        poisoned = np.array(maps)
+        poisoned[0, 0, 0] = bad
+        for wrong in (poisoned, -maps, np.stack([maps, maps])):
+            with pytest.raises(ValueError):
+                monitor.set_power(wrong)
+            with pytest.raises(ValueError):
+                ThermalMonitor(solver, wrong)
+        assert np.array_equal(monitor.power_maps, maps)
 
     def test_set_power_changes_trajectory(self, grid, maps):
         now = [0.0]
@@ -292,6 +455,28 @@ class TestThermalGovernor:
         assert governed.time_over_limit_s == 0.0
         assert governed.throttle_events
         assert governed.steps == replay.steps
+
+    def test_replay_matches_single_step_integration(
+        self, governor, phases
+    ):
+        # The governor steps one control tick at a time through
+        # TransientSolver.hold; uncontrolled, that is plain stepping.
+        replay = governor.replay(phases, HOT)
+        solver, thermal = governor.solver, governor.thermal
+        dram = thermal.stack.layer_index("dram")
+        temps, t = solver.initial_temps(), 0.0
+        times, peaks = [], []
+        for phase in phases:
+            maps = thermal.build_power_maps(
+                governor.model.evaluate(phase.profile, HOT).power
+            )
+            for _ in range(solver.steps_for(phase.duration_s)):
+                temps = solver.step(temps, maps)
+                t += solver.dt
+                times.append(t)
+                peaks.append(temps[dram].max())
+        assert np.array_equal(replay.times, times)
+        assert np.array_equal(replay.peak_dram_c, peaks)
 
     def test_governor_only_backs_off(self, governor, phases):
         governed = governor.run(phases, HOT)
