@@ -53,14 +53,9 @@ Run it from the repo root::
 ``--metrics-out``/``--trace-out`` write the same run manifest / Chrome
 trace-event JSON as ``python -m repro`` does, with one span per check.
 
-Exits non-zero (with a report) if any ratio regresses, so future PRs
-can use it as a trajectory check alongside::
-
-    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only \
-        --benchmark-json=BENCH_pr1.json
-
-``--bench-summary BENCH_pr3.json`` prints the headline stats of such an
-artifact (compact or legacy pretty format) and exits.
+Exits non-zero (with a report) if any ratio regresses. End-to-end
+regressions across commits are judged by ``benchmarks/ab.py``, which
+runs ``perfbench/`` on the merge base and on the change.
 """
 
 from __future__ import annotations
@@ -93,7 +88,6 @@ from repro.obs import trace as obs_trace  # noqa: E402
 from repro.perf.evalcache import MemsysCache  # noqa: E402
 from repro.sim.apu_sim import ApuSimulator  # noqa: E402
 from repro.thermal.grid import ThermalGrid  # noqa: E402
-from repro.util.benchjson import load_summary  # noqa: E402
 from repro.workloads.calibration import default_calibration_trace  # noqa: E402
 
 
@@ -1216,20 +1210,6 @@ CHECKS = (
 )
 
 
-def print_bench_summary(path: str) -> None:
-    """Headline stats of a ``--benchmark-json`` artifact (either the
-    compact format with a ``summary`` block or the legacy pretty one)."""
-    summary = load_summary(path)
-    width = max((len(n) for n in summary), default=0)
-    for name, stats in sorted(summary.items()):
-        mean = stats.get("mean_s")
-        stddev = stats.get("stddev_s")
-        rounds = stats.get("rounds")
-        mean_txt = f"{mean * 1e3:10.2f} ms" if mean is not None else "?"
-        sd_txt = f"+/- {stddev * 1e3:.2f}" if stddev is not None else ""
-        print(f"{name:<{width}}  {mean_txt} {sd_txt}  ({rounds} rounds)")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -1249,17 +1229,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write Chrome trace-event JSON (one span per check) to PATH",
     )
-    parser.add_argument(
-        "--bench-summary",
-        metavar="BENCH_JSON",
-        default=None,
-        help="print the summary of a --benchmark-json artifact and exit",
-    )
     args = parser.parse_args(argv)
-
-    if args.bench_summary:
-        print_bench_summary(args.bench_summary)
-        return 0
 
     from contextlib import nullcontext
 

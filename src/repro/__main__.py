@@ -32,9 +32,6 @@ Usage::
                                         # text snapshot alongside
     python -m repro obs report manifest.json
                                         # where-did-the-time-go report
-    python -m repro obs diff BENCH_pr7.json BENCH_pr8.json
-    python -m repro obs diff .          # BENCH_pr* trajectory check;
-                                        # exit status = regressions
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ because both sides share the per-CU abstraction.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -85,10 +86,20 @@ class ApuSimConfig:
     def __post_init__(self) -> None:
         if self.n_cus <= 0 or self.wavefronts_per_cu <= 0:
             raise ValueError("CU/wavefront counts must be positive")
-        if min(self.freq_hz, self.dram_bandwidth, self.dram_latency) <= 0:
+        values = (
+            self.freq_hz, self.flops_per_cu_cycle, self.dram_bandwidth,
+            self.dram_latency, self.llc_latency, self.l1_latency,
+            self.chiplet_extra_latency,
+        )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("rates and latencies must be finite")
+        if min(self.freq_hz, self.flops_per_cu_cycle, self.dram_bandwidth,
+               self.dram_latency) <= 0:
             raise ValueError("rates and latencies must be positive")
-        if self.chiplet_extra_latency < 0:
-            raise ValueError("chiplet_extra_latency must be non-negative")
+        # A negative latency would schedule an event in the past.
+        if min(self.llc_latency, self.l1_latency,
+               self.chiplet_extra_latency) < 0:
+            raise ValueError("cache and chiplet latencies must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ solver turns these into vertical/lateral conductances per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ThermalLayer", "LayerStack"]
@@ -31,6 +32,11 @@ class ThermalLayer:
     volumetric_heat_capacity: float = 1.63e6  # silicon, ~rho * c_p
 
     def __post_init__(self) -> None:
+        values = (
+            self.thickness_m, self.conductivity, self.volumetric_heat_capacity
+        )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"layer {self.name}: parameters must be finite")
         if self.thickness_m <= 0 or self.conductivity <= 0:
             raise ValueError(f"layer {self.name}: non-physical parameters")
         if self.volumetric_heat_capacity <= 0:
@@ -83,6 +89,12 @@ class LayerStack:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("stack needs at least one layer")
+        values = (
+            self.sink_resistance_km2w, self.board_resistance_km2w,
+            self.ambient_c,
+        )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("boundary resistances and ambient must be finite")
         if self.sink_resistance_km2w <= 0 or self.board_resistance_km2w <= 0:
             raise ValueError("boundary resistances must be positive")
 

@@ -303,7 +303,19 @@ class TestSimulatorInvariants:
             )
         )
         trace = _trace_from(lines, flops)
-        sim = ApuSimulator(ApuSimConfig(n_cus=2, wavefronts_per_cu=3))
+        # Every field over its validated range (latencies in seconds).
+        config = ApuSimConfig(
+            n_cus=data.draw(st.integers(1, 64)),
+            wavefronts_per_cu=data.draw(st.integers(1, 16)),
+            freq_hz=data.draw(st.floats(1e6, 1e10)),
+            flops_per_cu_cycle=data.draw(st.floats(1e-3, 1e4)),
+            dram_bandwidth=data.draw(st.floats(1e6, 1e13)),
+            dram_latency=data.draw(st.floats(1e-10, 1e-5)),
+            llc_latency=data.draw(st.floats(0.0, 1e-6)),
+            l1_latency=data.draw(st.floats(0.0, 1e-7)),
+            chiplet_extra_latency=data.draw(st.floats(0.0, 1e-5)),
+        )
+        sim = ApuSimulator(config)
         a = sim.run(trace)
         e = sim.run(trace, engine="event")
         assert a.elapsed == pytest.approx(e.elapsed, rel=1e-9)
@@ -320,23 +332,38 @@ class TestMemsysEngineProperties:
     the memory-system engines (deterministic grid:
     tests/test_memsys_oracle.py)."""
 
-    addresses = st.lists(
-        st.integers(min_value=0, max_value=1 << 24), min_size=0, max_size=400
-    )
-
-    @given(addresses, st.sampled_from([1, 4, 32]))
-    @settings(max_examples=30, deadline=None)
-    def test_rowbuffer_engines_agree(self, addrs, n_banks):
-        stream = np.asarray(addrs, dtype=np.int64)
-        a = RowBufferSim(n_banks=n_banks, row_bytes=512)
-        b = RowBufferSim(n_banks=n_banks, row_bytes=512)
-        sa = a.run(stream)
-        sb = b.run(stream, engine="event")
-        assert (sa.hits, sa.misses, sa.bank_conflicts) == (
-            sb.hits,
-            sb.misses,
-            sb.bank_conflicts,
-        )
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rowbuffer_engines_agree(self, data):
+        """Drawn geometry; the stream is split over 1-4 ``run`` calls,
+        so the open-row state carried between calls is compared too."""
+        pow2 = st.sampled_from([1 << k for k in range(6, 14)])
+        geometry = (data.draw(st.integers(1, 128)), data.draw(pow2),
+                    data.draw(pow2))
+        # Sequential runs (row hits, bank rotation) mixed with random
+        # addresses (misses, bank conflicts).
+        segments = data.draw(st.lists(st.one_of(
+            st.tuples(st.integers(0, 1 << 24), st.sampled_from([8, 64, 256]),
+                      st.integers(1, 64)),
+            st.tuples(st.integers(0, 1 << 24), st.just(0), st.just(1)),
+        ), max_size=12))
+        addrs = [start + i * stride for start, stride, length in segments
+                 for i in range(length)]
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(addrs)), max_size=3)
+        ))
+        a, b = RowBufferSim(*geometry), RowBufferSim(*geometry)
+        for lo, hi in zip([0] + cuts, cuts + [len(addrs)]):
+            stream = np.asarray(addrs[lo:hi], dtype=np.int64)
+            sa = a.run(stream)
+            sb = b.run(stream, engine="event")
+            assert (sa.hits, sa.misses, sa.bank_conflicts) == (
+                sb.hits,
+                sb.misses,
+                sb.bank_conflicts,
+            )
+        np.testing.assert_array_equal(a._open_row, b._open_row)
+        assert a._last_bank == b._last_bank
         assert 0.0 <= sa.hit_rate <= 1.0
         assert sa.accesses == len(addrs)
 

@@ -80,5 +80,21 @@ class TestApuSimulator:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ApuSimConfig(n_cus=0)
+        for field in ("chiplet_extra_latency", "llc_latency", "l1_latency",
+                      "flops_per_cu_cycle"):
+            with pytest.raises(ValueError):
+                ApuSimConfig(**{field: -1.0})
+        ApuSimConfig(llc_latency=0.0, l1_latency=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "freq_hz", "flops_per_cu_cycle", "dram_bandwidth",
+            "dram_latency", "llc_latency", "l1_latency",
+            "chiplet_extra_latency",
+        ],
+    )
+    def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValueError):
-            ApuSimConfig(chiplet_extra_latency=-1.0)
+            ApuSimConfig(**{field: value})

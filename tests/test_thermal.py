@@ -70,6 +70,24 @@ class TestLayerStack:
         with pytest.raises(ValueError):
             ThermalLayer("t", 0.0, 120.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: ThermalLayer("t", v, 120.0),
+            lambda v: ThermalLayer("t", 100e-6, v),
+            lambda v: ThermalLayer("t", 100e-6, 120.0,
+                                   volumetric_heat_capacity=v),
+            lambda v: LayerStack(sink_resistance_km2w=v),
+            lambda v: LayerStack(board_resistance_km2w=v),
+            lambda v: LayerStack(ambient_c=v),
+            lambda v: LayerStack(ambient_c=-v),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
 
 class TestThermalGrid:
     @pytest.fixture(scope="class")
